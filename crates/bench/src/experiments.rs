@@ -1398,11 +1398,11 @@ pub fn discipline() -> Table {
 }
 
 /// E-serve — fc-serve under load: clean serving vs static faults vs
-/// dynamic-buffer faults vs processor-kill chaos, one fresh service per
-/// row. Every answer is verified against the sequential oracle on the
-/// generation that served it; the `wrong` column must stay 0.
+/// dynamic-buffer faults, one fresh service per row. Every answer is
+/// verified against the sequential oracle on the generation that served
+/// it; the `wrong` column must stay 0.
 pub fn eserve() -> Table {
-    use fc_resilience::{Fault, FaultPlan, FaultSpec};
+    use fc_resilience::FaultSpec;
     use fc_serve::{ServeConfig, Service};
     use std::time::Duration;
 
@@ -1411,17 +1411,15 @@ pub fn eserve() -> Table {
         None,
         Static,
         Dynamic,
-        Kills,
     }
-    let scenarios: [(&str, Chaos); 4] = [
+    let scenarios: [(&str, Chaos); 3] = [
         ("clean", Chaos::None),
         ("static faults", Chaos::Static),
         ("dynamic faults", Chaos::Dynamic),
-        ("kill schedules", Chaos::Kills),
     ];
 
     let mut t = Table::new(
-        "E-serve (fc-serve): 400 verified queries per scenario, n = 3000, height 6, p = 2^10",
+        "E-serve (fc-serve): 400 verified queries per scenario, n = 3000, height 6",
         &[
             "scenario",
             "exact",
@@ -1443,7 +1441,6 @@ pub fn eserve() -> Table {
             queue_cap: 64,
             default_deadline: Duration::from_secs(30),
             audit_interval: Duration::from_millis(10),
-            processors: 1 << 10,
             ..ServeConfig::default()
         };
         let svc = Service::start(tree, ParamMode::Auto, cfg);
@@ -1463,15 +1460,6 @@ pub fn eserve() -> Table {
                 // may not wake before the (fast) scenario completes.
                 Chaos::Static | Chaos::Dynamic if q % 100 == 80 => {
                     svc.audit_blocking();
-                }
-                Chaos::Kills if q % 40 == 20 => {
-                    svc.arm_kills(FaultPlan {
-                        seed: q as u64,
-                        faults: vec![Fault::KillProcessors {
-                            at_round: rng.gen_range(0..3),
-                            count: 1 << 9,
-                        }],
-                    });
                 }
                 _ => {}
             }
@@ -1527,7 +1515,6 @@ pub fn eserve() -> Table {
     }
     t.note("every Ok answer is re-checked against the sequential oracle on the generation that served it (QueryOk::gen)");
     t.note("faulted rows trade latency (degraded reads, retries, audits) for correctness — `wrong` stays 0 by contract");
-    t.note("kill schedules are absorbed by the search's surviving processors (wider per-processor windows), so they cost steps, not answers");
     t
 }
 

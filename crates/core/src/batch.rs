@@ -7,27 +7,21 @@
 //! inter-query parallelism is what a multicore actually exploits — both
 //! views are reported by the Criterion benches.)
 //!
-//! Three entry points, all re-exported at the crate root:
+//! Two entry points, both re-exported at the crate root:
 //!
 //! * [`explicit_batch`] / [`explicit_batch_seq`] — raw batched descent,
 //!   returning the full [`ExplicitSearchResult`] plus per-query step
 //!   counts (experiment-grade output).
-//! * [`explicit_batch_verified`] — the serving-grade variant used by the
-//!   `fc-shard` scatter/gather router for its per-shard gather leg: every
-//!   query runs the *checked, cancellable* descent and each per-node
-//!   answer is re-verified against the authoritative native catalog, so a
-//!   batch entry is either oracle-correct on the structure it ran against
-//!   or a typed [`FcError`] — never silently wrong.
 //! * [`implicit_batch`] — batched implicit searches with pluggable branch
 //!   oracles.
+//!
+//! Serving-grade batches (the `fc-shard` gather legs) loop over
+//! [`crate::explicit::certified_descent`] instead.
 
-use crate::cancel::CancelToken;
-use crate::explicit::{
-    coop_search_explicit, coop_search_explicit_cancellable, ExplicitSearchResult,
-};
+use crate::explicit::{coop_search_explicit, ExplicitSearchResult};
 use crate::implicit::{coop_search_implicit, BranchOracle, ImplicitSearchResult};
 use crate::structure::CoopStructure;
-use fc_catalog::{CatalogKey, FcError, NodeId};
+use fc_catalog::{CatalogKey, NodeId};
 use fc_pram::cost::{Model, Pram};
 use rayon::prelude::*;
 
@@ -69,61 +63,6 @@ pub fn explicit_batch_seq<K: CatalogKey>(
         .collect()
 }
 
-/// Per-query outcome of [`explicit_batch_verified`]: the smallest native
-/// catalog entry `>= y` at every node of the query's root-to-leaf path
-/// (`None` = `+∞`), or the structural error that was detected.
-pub type VerifiedAnswers<K> = Result<Vec<Option<K>>, FcError>;
-
-/// Run a batch of *checked, verified* explicit searches — the gather-leg
-/// primitive of the `fc-shard` scatter/gather router.
-///
-/// Each query runs [`coop_search_explicit_cancellable`] (all structural
-/// guards active, `cancel` polled at every descent step) and every
-/// per-node answer is then re-verified against the native catalog with an
-/// independent binary search. The contract matches the serving layer's:
-/// an `Ok` entry equals the sequential oracle on `st`, any detected
-/// inconsistency (or cancellation) is a typed [`FcError`] — never a
-/// silently wrong answer.
-///
-/// Queries are `(leaf, y)` pairs; paths are derived from the leaves.
-/// Results are positionally aligned with `queries`.
-pub fn explicit_batch_verified<K: CatalogKey>(
-    st: &CoopStructure<K>,
-    queries: &[(NodeId, K)],
-    p: usize,
-    cancel: &CancelToken,
-) -> Vec<VerifiedAnswers<K>> {
-    queries
-        .par_iter()
-        .map(|&(leaf, y)| verified_one(st, leaf, y, p, cancel))
-        .collect()
-}
-
-fn verified_one<K: CatalogKey>(
-    st: &CoopStructure<K>,
-    leaf: NodeId,
-    y: K,
-    p: usize,
-    cancel: &CancelToken,
-) -> VerifiedAnswers<K> {
-    let path = st.tree().path_from_root(leaf);
-    let mut pram = Pram::new(p.max(1), Model::Crew);
-    let res = coop_search_explicit_cancellable(st, &path, y, &mut pram, cancel)?;
-    let mut answers = Vec::with_capacity(path.len());
-    for (&node, find) in path.iter().zip(res.finds.iter()) {
-        let cat = st.tree().catalog(node);
-        let ans = cat.get(find.native_idx as usize).copied();
-        if cat.get(cat.partition_point(|k| *k < y)).copied() != ans {
-            return Err(FcError::CorruptCatalog {
-                node: node.0,
-                entry: find.native_idx as usize,
-            });
-        }
-        answers.push(ans);
-    }
-    Ok(answers)
-}
-
 /// Run a batch of implicit searches in parallel. The oracle must be
 /// `Sync`; each query gets its own cost model.
 pub fn implicit_batch<K: CatalogKey, O: BranchOracle<K> + Sync>(
@@ -144,8 +83,11 @@ pub fn implicit_batch<K: CatalogKey, O: BranchOracle<K> + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cancel::CancelToken;
+    use crate::explicit::certified_descent;
     use crate::params::ParamMode;
     use fc_catalog::gen::{self, SizeDist};
+    use fc_catalog::FcError;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -182,6 +124,22 @@ mod tests {
             .collect()
     }
 
+    /// [`certified_descent`] over a batch of `(leaf, y)` queries.
+    fn certified(
+        st: &CoopStructure<i64>,
+        queries: &[(NodeId, i64)],
+        cancel: &CancelToken,
+    ) -> Vec<Result<Vec<Option<i64>>, FcError>> {
+        queries
+            .iter()
+            .map(|&(leaf, y)| {
+                let mut out = Vec::new();
+                let path = st.tree().path_from_root(leaf);
+                certified_descent(st, &path, y, cancel, &mut out).map(|()| out)
+            })
+            .collect()
+    }
+
     #[test]
     fn verified_batch_matches_the_sequential_oracle() {
         let mut rng = SmallRng::seed_from_u64(709);
@@ -196,10 +154,10 @@ mod tests {
             })
             .collect();
         let cancel = CancelToken::new();
-        let out = explicit_batch_verified(&st, &queries, 1 << 12, &cancel);
+        let out = certified(&st, &queries, &cancel);
         assert_eq!(out.len(), queries.len());
         for (res, &(leaf, y)) in out.iter().zip(&queries) {
-            let got = res.as_ref().expect("clean structure must verify");
+            let got = res.as_ref().expect("clean structure must certify");
             assert_eq!(*got, oracle(&st, leaf, y));
         }
     }
@@ -218,7 +176,7 @@ mod tests {
             })
             .collect();
         let cancel = CancelToken::new();
-        let verified = explicit_batch_verified(&st, &queries, 256, &cancel);
+        let verified = certified(&st, &queries, &cancel);
         let raw = explicit_batch(&st, &queries, 256);
         for ((v, (r, _)), &(leaf, _)) in verified.iter().zip(&raw).zip(&queries) {
             let path = st.tree().path_from_root(leaf);
@@ -241,12 +199,10 @@ mod tests {
             .collect();
         let cancel = CancelToken::new();
         cancel.cancel();
-        let out = explicit_batch_verified(&st, &queries, 64, &cancel);
+        let out = certified(&st, &queries, &cancel);
+        assert_eq!(out.len(), queries.len());
         for res in &out {
-            assert!(
-                matches!(res, Err(fc_catalog::FcError::Cancelled)),
-                "{res:?}"
-            );
+            assert_eq!(*res, Err(FcError::Cancelled));
         }
     }
 
@@ -256,7 +212,11 @@ mod tests {
         let tree = gen::balanced_binary(4, 200, SizeDist::Uniform, &mut rng);
         let st = CoopStructure::preprocess(tree, ParamMode::Auto);
         let cancel = CancelToken::new();
-        assert!(explicit_batch_verified(&st, &[], 64, &cancel).is_empty());
+        assert!(certified(&st, &[], &cancel).is_empty());
+        // An empty path has no node to answer: `Ok`, with the buffer cleared.
+        let mut out = vec![Some(1i64)];
+        assert_eq!(certified_descent(&st, &[], 5, &cancel, &mut out), Ok(()));
+        assert!(out.is_empty());
     }
 
     #[test]

@@ -20,6 +20,10 @@
 //! structure was built with an understated fan-out constant `b`) is counted
 //! in [`SearchStats::fallbacks`] and repaired with a full binary search, so
 //! results are always exact.
+//!
+//! [`certified_descent`] is the serving counterpart: the sequential
+//! (`p = 1`) descent with an `O(1)` per-node certificate, which every
+//! served read runs.
 
 use crate::cancel::CancelToken;
 use crate::skeleton::NO_CHILD;
@@ -28,7 +32,7 @@ use fc_catalog::cascade::Find;
 use fc_catalog::search::search_path_fc;
 use fc_catalog::{CatalogKey, FcError, NodeId};
 use fc_pram::cost::Pram;
-use fc_pram::primitives::coop_lower_bound_traced;
+use fc_pram::primitives::{coop_lower_bound_traced, lower_bound};
 use fc_pram::shadow::{NoTrace, Tracer};
 
 /// Counters describing how a cooperative search executed.
@@ -144,7 +148,8 @@ pub fn coop_search_explicit_checked<K: CatalogKey>(
 /// aborts within `O(1)` steps with [`FcError::Cancelled`] instead of
 /// running to completion. All structural guards of the checked search stay
 /// active — the result is never silently wrong, merely absent when
-/// cancelled. This is the entry point `fc-serve` drives.
+/// cancelled. Served reads run [`certified_descent`] instead; this entry
+/// point keeps the PRAM cost accounting for the experiments.
 pub fn coop_search_explicit_cancellable<K: CatalogKey>(
     st: &CoopStructure<K>,
     path: &[NodeId],
@@ -153,6 +158,80 @@ pub fn coop_search_explicit_cancellable<K: CatalogKey>(
     cancel: &CancelToken,
 ) -> Result<ExplicitSearchResult, FcError> {
     search_explicit_inner(st, path, y, pram, true, Some(cancel), &mut NoTrace)
+}
+
+/// The serving read path: sequential fractional cascading along `path` —
+/// the `p = 1` case, which on one OS thread returns the cooperative
+/// search's answers at a fraction of its wall-clock cost — with every
+/// per-node answer certified before it is returned.
+///
+/// The descent locates `y` in the first node's augmented catalog (audited
+/// like the checked search's root step) and follows the bridges with
+/// [`CascadedTree::checked_descend`](fc_catalog::CascadedTree::checked_descend),
+/// polling `cancel` once per level. Each node's answer is then certified in
+/// `O(1)` against the authoritative sorted native catalog `cat`: the rank
+/// `i` read off the augmented position is the lower bound of `y` iff
+/// `cat[i-1] < y <= cat[i]` (with `cat[-1] = -∞`, `cat[len] = +∞`).
+///
+/// `out` is cleared, then receives one answer per path node: the smallest
+/// native entry `>= y` (`None` = `+∞`). On `Ok` it equals the per-node
+/// binary-search oracle on `st`. A corrupt bridge, augmented key, or
+/// native-successor rank, an out-of-range first node, or a `path` that is
+/// not a downward chain is a blamed [`FcError`]; a fired token is
+/// [`FcError::Cancelled`]. Never panics, never returns a wrong answer.
+pub fn certified_descent<K: CatalogKey>(
+    st: &CoopStructure<K>,
+    path: &[NodeId],
+    y: K,
+    cancel: &CancelToken,
+    out: &mut Vec<Option<K>>,
+) -> Result<(), FcError> {
+    out.clear();
+    let fc = st.cascade();
+    let tree = st.tree();
+    let Some(&first) = path.first() else {
+        return Ok(());
+    };
+    if first.idx() >= tree.len() {
+        return Err(FcError::CorruptCatalog {
+            node: first.0,
+            entry: 0,
+        });
+    }
+    // `find_aug` minus its clean-structure debug assertion: on a corrupt
+    // catalog the probe may run off the end, which `audit_locate` blames.
+    let mut aug = lower_bound(fc.keys(first), &y);
+    audit_locate(fc.keys(first), aug, y, first.0)?;
+    let mut parent: Option<NodeId> = None;
+    for &node in path {
+        cancel.check()?;
+        if let Some(p) = parent {
+            let children = tree.children(p);
+            let slot = children
+                .iter()
+                .position(|&c| c == node)
+                .ok_or(FcError::CorruptBridge {
+                    node: p.0,
+                    slot: children.len(),
+                    entry: aug,
+                })?;
+            aug = fc.checked_descend(p, slot, aug, y)?.0;
+        }
+        let cat = tree.catalog(node);
+        let i = fc.native_result(node, aug).native_idx as usize;
+        let ans = cat.get(i).copied();
+        let below = i == 0 || cat.get(i - 1).is_some_and(|&k| k < y);
+        let at_or_above = ans.map_or(i == cat.len(), |k| y <= k);
+        if !(below && at_or_above) {
+            return Err(FcError::CorruptCatalog {
+                node: node.0,
+                entry: i,
+            });
+        }
+        out.push(ans);
+        parent = Some(node);
+    }
+    Ok(())
 }
 
 /// Verify that `g` is a locally consistent lower-bound position for `y` in

@@ -37,15 +37,17 @@
 //! * [`skeleton`] — units and compacted skeleton forests; Lemma 1 checker.
 //! * [`structure`] — [`CoopStructure`]: `S` + all substructures, space
 //!   accounting (Lemma 2).
-//! * [`explicit`] — explicit cooperative search (Section 2.2).
+//! * [`explicit`] — explicit cooperative search (Section 2.2), plus
+//!   [`certified_descent`], the sequential fractional-cascading read with
+//!   an `O(1)` per-node certificate that the `fc-serve` workers and the
+//!   `fc-shard` batch legs run.
 //! * [`implicit`] — implicit cooperative search under the consistency
 //!   assumption (Section 2.3), with pluggable branch oracles.
 //! * [`general`] — long paths and degree-`d` trees (Section 2.4).
 //! * [`reach`] — `reach(c, U)` computation for the Figure 1/2 experiments.
 //! * [`cancel`] — cooperative cancellation tokens polled at descent steps
 //!   (deadline propagation for the `fc-serve` query service).
-//! * [`batch`] — batched inter-query parallelism, including the verified
-//!   batched descent the `fc-shard` router uses for its gather legs.
+//! * [`batch`] — batched inter-query parallelism for the experiments.
 //! * [`dynamic`] — dynamic updates (open problem 4): buffered global
 //!   rebuilding with atomic batch drains and post-rebuild self-audit,
 //!   plus the opt-in `fc-dyn` incremental mode (node-to-root bridge and
@@ -66,13 +68,11 @@ pub mod reach;
 pub mod skeleton;
 pub mod structure;
 
-pub use batch::{
-    explicit_batch, explicit_batch_seq, explicit_batch_verified, implicit_batch, VerifiedAnswers,
-};
+pub use batch::{explicit_batch, explicit_batch_seq, implicit_batch};
 pub use cancel::CancelToken;
 pub use explicit::{
-    coop_search_explicit, coop_search_explicit_cancellable, coop_search_explicit_checked,
-    ExplicitSearchResult,
+    certified_descent, coop_search_explicit, coop_search_explicit_cancellable,
+    coop_search_explicit_checked, ExplicitSearchResult,
 };
 pub use implicit::{coop_search_implicit, Branch, BranchOracle, ConsistentLeafOracle};
 pub use params::{CoopParams, ParamMode};

@@ -12,7 +12,7 @@ use std::time::Duration;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServeError {
     /// The query's deadline expired before an answer was produced. The
-    /// deadline is propagated into the cooperative search itself (via
+    /// deadline is propagated into the certified descent itself (via
     /// `fc_coop::CancelToken`), so a query caught mid-descent stops at the
     /// next descent step rather than running to completion.
     Timeout {
@@ -32,9 +32,8 @@ pub enum ServeError {
         /// Arena index of the first quarantined node on the path.
         node: u32,
     },
-    /// The cooperative search kept failing (corruption detected by the
-    /// checked search, or too few live processors) through every retry,
-    /// and the degraded fallback is disabled.
+    /// The certified descent kept detecting corruption through every
+    /// retry, and the degraded fallback is disabled.
     Degraded {
         /// The last structural error observed.
         error: FcError,

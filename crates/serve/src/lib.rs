@@ -6,7 +6,10 @@
 //! concurrency, deadlines, and injected chaos:
 //!
 //! * [`service::Service`] — a std-thread worker pool answering path
-//!   queries against immutable published generations;
+//!   queries against immutable published generations with
+//!   `fc_coop::certified_descent`: the sequential (`p = 1`) descent, whose
+//!   answers equal the cooperative search's at a fraction of its wall-clock
+//!   cost on one thread, each per-node answer certified in `O(1)`;
 //! * [`epoch::EpochPtr`] — epoch-based hot swap: rebuilds publish with one
 //!   atomic swap, in-flight readers drain on the old generation, and
 //!   retired generations are reclaimed only when every reader slot has
@@ -30,7 +33,7 @@
 //! sequential oracle on the generation that served it, or a typed
 //! [`ServeError`] — never a silently wrong answer.** The chaos harness
 //! (`examples/chaos_serve.rs`, `tests/serve_concurrency.rs`) asserts this
-//! over ≥10⁵ mixed query/update/fault/kill operations.
+//! over ≥10⁵ mixed query/update/fault operations.
 
 #![warn(missing_docs)]
 

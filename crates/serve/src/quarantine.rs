@@ -3,14 +3,14 @@
 //! When the background auditor finds structural corruption it *opens* the
 //! breaker with the set of blamed arena nodes. While open, queries whose
 //! root-to-leaf path touches a blamed node are not trusted to the
-//! cooperative search: they are answered by the degraded per-node binary
+//! certified descent: they are answered by the degraded per-node binary
 //! search over the native catalogs (authoritative under the fault model),
 //! or rejected if degraded reads are disabled. Queries that avoid the
 //! blamed region keep using the fast path.
 //!
 //! After the auditor repairs and republishes, the breaker moves to
 //! *half-open*: most quarantined-path queries stay degraded, but every
-//! `probe_every`-th one is sent through the full cooperative search as a
+//! `probe_every`-th one is sent through the certified descent as a
 //! probe. `close_after` consecutive probe successes close the breaker and
 //! clear the node set; any probe failure re-opens it.
 //!

@@ -21,11 +21,11 @@
 //! ## Answer integrity
 //!
 //! The fault model treats native catalogs as authoritative; everything else
-//! is derived. A query answer is produced by the checked cooperative search
-//! and then (by default) verified per node against the native catalog, so
-//! an `Ok` answer always equals the oracle answer *on the generation that
-//! served it* — corruption can cost latency (retries, degraded reads,
-//! quarantine), never silent wrongness.
+//! is derived. A query answer is produced by `fc_coop::certified_descent`,
+//! which certifies every per-node answer against the native catalog in
+//! `O(1)`, so an `Ok` answer always equals the oracle answer *on the
+//! generation that served it* — corruption can cost latency (retries,
+//! degraded reads, quarantine), never silent wrongness.
 
 use crate::epoch::EpochPtr;
 use crate::error::ServeError;
@@ -51,7 +51,7 @@ pub struct ServeConfig {
     pub queue_cap: usize,
     /// Deadline applied when a query does not carry its own.
     pub default_deadline: Duration,
-    /// Cooperative-search retries before falling back to a degraded read.
+    /// Certified-descent retries before falling back to a degraded read.
     pub retries: u32,
     /// Decorrelated-jitter backoff floor between retries.
     pub backoff_base: Duration,
@@ -59,17 +59,14 @@ pub struct ServeConfig {
     pub backoff_cap: Duration,
     /// Background audit period (the auditor also wakes on demand).
     pub audit_interval: Duration,
-    /// Virtual processors per query's cooperative search.
+    /// Virtual processors of the writer's PRAM cost meter, which prices
+    /// rebuilds; queries do not read it.
     pub processors: usize,
     /// Serve quarantined / persistently failing queries from the native
     /// catalogs instead of erroring.
     pub degraded_reads: bool,
-    /// Verify every exact answer against the native catalog (cheap:
-    /// `O(path · log)`; turns any corruption the checked search misses
-    /// into a detected error instead of a wrong answer).
-    pub verify_answers: bool,
     /// In half-open quarantine, every `probe_every`-th quarantined-path
-    /// query probes the cooperative path.
+    /// query runs the certified descent as a probe.
     pub probe_every: u64,
     /// Consecutive probe successes that close the breaker.
     pub close_after: u64,
@@ -98,7 +95,6 @@ impl Default for ServeConfig {
             audit_interval: Duration::from_millis(100),
             processors: 1 << 12,
             degraded_reads: true,
-            verify_answers: true,
             probe_every: 4,
             close_after: 4,
             rebuild_frac: 0.25,
@@ -128,9 +124,9 @@ pub struct QueryOk<K: CatalogKey> {
     /// not against "the latest" structure.
     pub gen: Arc<Generation<K>>,
     /// `true` if the answer came from the degraded per-node binary search
-    /// (quarantine or persistent cooperative-search failure).
+    /// (quarantine or persistent certified-descent failure).
     pub degraded: bool,
-    /// Cooperative-search attempts consumed (1 = first try succeeded).
+    /// Certified-descent attempts consumed (1 = first try succeeded).
     pub attempts: u32,
 }
 
@@ -192,7 +188,7 @@ pub struct ServeStats {
     pub submitted: u64,
     /// Queries shed at admission (queue full).
     pub shed: u64,
-    /// Queries answered by the cooperative search.
+    /// Queries answered by the certified descent.
     pub completed_exact: u64,
     /// Queries answered by the degraded per-node binary search.
     pub completed_degraded: u64,
@@ -204,9 +200,9 @@ pub struct ServeStats {
     pub structural_failures: u64,
     /// Cooperative-search retries performed.
     pub retries: u64,
-    /// Structural errors detected by the checked search / verifier.
+    /// Structural errors detected by the certified descent.
     pub corruption_detected: u64,
-    /// Half-open probe queries sent through the cooperative path.
+    /// Half-open probe queries sent through the certified descent.
     pub probes: u64,
     /// Probes that failed (re-opening the breaker).
     pub probe_failures: u64,
@@ -260,8 +256,6 @@ pub(crate) struct Shared<K: CatalogKey> {
     pub(crate) stats: Stats,
     pub(crate) shutdown: AtomicBool,
     pub(crate) audit_wake: (Mutex<bool>, Condvar),
-    /// One-shot processor-kill schedule: the next query attempt takes it.
-    pub(crate) kill_plan: Mutex<Option<FaultPlan>>,
 }
 
 impl<K: CatalogKey> Shared<K> {
@@ -317,7 +311,6 @@ impl<K: CatalogKey> Service<K> {
             stats: Stats::default(),
             shutdown: AtomicBool::new(false),
             audit_wake: (Mutex::new(false), Condvar::new()),
-            kill_plan: Mutex::new(None),
             cfg,
         });
         let writer = Arc::new(Mutex::new(Writer {
@@ -438,17 +431,6 @@ impl<K: CatalogKey> Service<K> {
         // fc-lint: allow(lock-discipline) -- by design: publish_locked requires the writer lock; readers never take it (epoch pin only)
         publish_locked(&self.shared, w);
         plan
-    }
-
-    /// Chaos hook: arm a one-shot processor-kill schedule; exactly one
-    /// subsequent query attempt runs under it.
-    pub fn arm_kills(&self, plan: FaultPlan) {
-        let mut slot = self
-            .shared
-            .kill_plan
-            .lock()
-            .unwrap_or_else(|p| p.into_inner());
-        *slot = Some(plan);
     }
 
     /// Wake the background auditor now.

@@ -4,22 +4,20 @@
 //! lives here, and is written panic-free: a worker that unwinds would
 //! silently drop its queue share, so this module avoids `unwrap`/`expect`/
 //! `panic!` and direct indexing entirely (enforced by the `xtask lint`
-//! hot-path scope). Mutex poisoning is absorbed with `into_inner` — the
-//! protected values are plans/flags that stay valid across an unwinding
-//! peer.
+//! hot-path scope).
 //!
 //! Per job: deadline gate → pin generation → quarantine gate (probe or
-//! degrade) → checked cooperative search with retry + decorrelated-jitter
-//! backoff → per-node answer verification against the native catalog →
-//! degraded fallback. Every exit is either a verified-correct answer or a
-//! typed [`ServeError`]; corruption detections wake the auditor.
+//! degrade) → [`certified_descent`] (sequential fractional cascading with
+//! an `O(1)` per-node certificate against the native catalog) → on a
+//! structural error, retry with decorrelated-jitter backoff on the freshest
+//! generation → degraded fallback. Every exit is either a certified answer
+//! or a typed [`ServeError`]; corruption detections wake the auditor.
 
 use crate::backoff::DecorrelatedJitter;
 use crate::error::ServeError;
 use crate::service::{Generation, Job, QueryOk, QueryResult, Shared};
 use fc_catalog::{CatalogKey, FcError, NodeId};
-use fc_coop::{coop_search_explicit_cancellable, CancelToken};
-use fc_pram::{Model, Pram};
+use fc_coop::{certified_descent, CancelToken};
 use std::sync::atomic::Ordering::SeqCst;
 use std::sync::Arc;
 use std::thread;
@@ -81,14 +79,15 @@ fn execute<K: CatalogKey>(
         // Queued past its deadline: shed late rather than answer late.
         return Err(timeout(deadline));
     }
-    let mut gen = shared.epoch.load(slot);
-    let mut path = gen.st.tree().path_from_root(leaf);
+    let gen = shared.epoch.load(slot);
+    let path = gen.st.tree().path_from_root(leaf);
+    let mut answers = Vec::with_capacity(path.len());
 
     if let Some(node) = shared.quarantine.quarantined_on_path(&path) {
         if shared.quarantine.take_probe_ticket() {
             shared.stats.probes.fetch_add(1, SeqCst);
-            match attempt(shared, &gen, &path, y, &cancel) {
-                Ok(answers) => {
+            match certified_descent(&gen.st, &path, y, &cancel, &mut answers) {
+                Ok(()) => {
                     shared.quarantine.record_probe_success();
                     return finish(gen, path, answers, false, 1);
                 }
@@ -103,29 +102,45 @@ fn execute<K: CatalogKey>(
         if !shared.cfg.degraded_reads {
             return Err(ServeError::Quarantined { node });
         }
-        let answers = degraded_answers(&gen, &path, y, deadline, &cancel)?;
+        degraded_answers(&gen, &path, y, deadline, &cancel, &mut answers)?;
         return finish(gen, path, answers, true, 1);
     }
 
-    let mut attempts: u32 = 0;
-    // Which published generations the attempts observed (consecutive
-    // dedup): reported through `ServeError::Degraded` so a failing query
-    // names the generation(s) it saw.
-    let mut gens_seen: Vec<u64> = vec![gen.id];
-    let last_err;
+    match certified_descent(&gen.st, &path, y, &cancel, &mut answers) {
+        Ok(()) => finish(gen, path, answers, false, 1),
+        Err(FcError::Cancelled) => Err(timeout(deadline)),
+        Err(error) => retry(
+            shared, slot, leaf, y, &cancel, deadline, backoff, gen, error,
+        ),
+    }
+}
+
+/// The cold path after a structural failure on `gen`: wake the auditor,
+/// back off, and retry on the freshest generation up to `cfg.retries`
+/// times; then serve a degraded read, or fail with the last error and
+/// every generation the attempts saw.
+#[allow(clippy::too_many_arguments)]
+fn retry<K: CatalogKey>(
+    shared: &Shared<K>,
+    slot: usize,
+    leaf: NodeId,
+    y: K,
+    cancel: &CancelToken,
+    deadline: Instant,
+    backoff: &mut DecorrelatedJitter,
+    mut gen: Arc<Generation<K>>,
+    mut error: FcError,
+) -> QueryResult<K> {
+    // Consecutively deduplicated: reported through `ServeError::Degraded`
+    // so a failing query names the generation(s) it saw.
+    let mut gens_seen = vec![gen.id];
+    let mut answers = Vec::new();
+    let mut attempts: u32 = 1;
     loop {
-        attempts += 1;
-        match attempt(shared, &gen, &path, y, &cancel) {
-            Ok(answers) => return finish(gen, path, answers, false, attempts),
-            Err(FcError::Cancelled) => return Err(timeout(deadline)),
-            Err(e) => {
-                shared.stats.corruption_detected.fetch_add(1, SeqCst);
-                shared.request_audit();
-                if attempts > shared.cfg.retries {
-                    last_err = e;
-                    break;
-                }
-            }
+        shared.stats.corruption_detected.fetch_add(1, SeqCst);
+        shared.request_audit();
+        if attempts > shared.cfg.retries {
+            break;
         }
         shared.stats.retries.fetch_add(1, SeqCst);
         let remaining = deadline.saturating_duration_since(Instant::now());
@@ -136,62 +151,27 @@ fn execute<K: CatalogKey>(
         // A repair/rebuild may have republished meanwhile; retry against
         // the freshest generation.
         gen = shared.epoch.load(slot);
-        path = gen.st.tree().path_from_root(leaf);
         if gens_seen.last() != Some(&gen.id) {
             gens_seen.push(gen.id);
         }
+        attempts += 1;
+        let path = gen.st.tree().path_from_root(leaf);
+        match certified_descent(&gen.st, &path, y, cancel, &mut answers) {
+            Ok(()) => return finish(gen, path, answers, false, attempts),
+            Err(FcError::Cancelled) => return Err(timeout(deadline)),
+            Err(e) => error = e,
+        }
     }
-    if shared.cfg.degraded_reads {
-        let answers = degraded_answers(&gen, &path, y, deadline, &cancel)?;
-        finish(gen, path, answers, true, attempts)
-    } else {
-        Err(ServeError::Degraded {
-            error: last_err,
+    if !shared.cfg.degraded_reads {
+        return Err(ServeError::Degraded {
+            error,
             attempts,
             gens: gens_seen,
-        })
+        });
     }
-}
-
-/// One checked, cancellable cooperative search plus per-node answer
-/// verification. Any detected inconsistency — window overrun, bridge
-/// violation, or a verifier mismatch the checked search missed — comes
-/// back as a structural `Err`, never as a wrong answer.
-fn attempt<K: CatalogKey>(
-    shared: &Shared<K>,
-    gen: &Arc<Generation<K>>,
-    path: &[NodeId],
-    y: K,
-    cancel: &CancelToken,
-) -> Result<Vec<Option<K>>, FcError> {
-    let mut pram = Pram::new(shared.cfg.processors.max(1), Model::Crew);
-    let kills = {
-        let mut armed = shared.kill_plan.lock().unwrap_or_else(|p| p.into_inner());
-        armed.take()
-    };
-    if let Some(plan) = kills {
-        plan.arm(&mut pram);
-    }
-    let res = coop_search_explicit_cancellable(&gen.st, path, y, &mut pram, cancel)?;
-    let mut answers = Vec::with_capacity(path.len());
-    for (&node, find) in path.iter().zip(res.finds.iter()) {
-        let cat = gen.st.tree().catalog(node);
-        let ans = cat.get(find.native_idx as usize).copied();
-        if shared.cfg.verify_answers && !verify_one(cat, y, ans) {
-            return Err(FcError::CorruptCatalog {
-                node: node.0,
-                entry: find.native_idx as usize,
-            });
-        }
-        answers.push(ans);
-    }
-    Ok(answers)
-}
-
-/// The smallest native entry `>= y` must equal the reported answer — a
-/// binary-search check against the authoritative catalog.
-fn verify_one<K: CatalogKey>(cat: &[K], y: K, ans: Option<K>) -> bool {
-    cat.get(cat.partition_point(|k| *k < y)).copied() == ans
+    let path = gen.st.tree().path_from_root(leaf);
+    degraded_answers(&gen, &path, y, deadline, cancel, &mut answers)?;
+    finish(gen, path, answers, true, attempts)
 }
 
 /// Degraded read: per-node binary search over the native catalogs, which
@@ -203,16 +183,17 @@ fn degraded_answers<K: CatalogKey>(
     y: K,
     deadline: Instant,
     cancel: &CancelToken,
-) -> Result<Vec<Option<K>>, ServeError> {
-    let mut answers = Vec::with_capacity(path.len());
+    out: &mut Vec<Option<K>>,
+) -> Result<(), ServeError> {
+    out.clear();
     for &node in path {
         if cancel.is_cancelled() {
             return Err(timeout(deadline));
         }
         let cat = gen.st.tree().catalog(node);
-        answers.push(cat.get(cat.partition_point(|k| *k < y)).copied());
+        out.push(cat.get(cat.partition_point(|k| *k < y)).copied());
     }
-    Ok(answers)
+    Ok(())
 }
 
 fn finish<K: CatalogKey>(

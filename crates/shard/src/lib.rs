@@ -11,9 +11,9 @@
 //!   failover and ascending *escalation* for path nodes whose owner-shard
 //!   successor is `+∞`, under an end-to-end deadline split across legs;
 //! * [`ShardCluster::query_batch`] — the scatter/gather fast path: the
-//!   batch is grouped per owner shard and run through the workspace's
-//!   batched cooperative descent (`fc_coop::explicit_batch_verified`)
-//!   directly against pinned replica generations, on real OS threads;
+//!   batch is grouped per owner shard and each query runs the serve
+//!   workers' certified read (`fc_coop::certified_descent`) directly
+//!   against pinned replica generations, on real OS threads;
 //! * [`ShardCluster::range_report`] — scattered range reporting merged in
 //!   global key order via `fc_retrieval::merge_shard_reports`;
 //! * [`ShardCluster::split_shard`] / [`ShardCluster::rebalance_if_hot`] —

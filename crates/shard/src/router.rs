@@ -17,13 +17,13 @@
 //! ## The batched fast path
 //!
 //! [`ShardCluster::query_batch`] groups a batch by owner shard and runs
-//! each shard's sub-batch through `fc_coop::explicit_batch_verified` —
-//! the workspace's batched cooperative descent — directly against a pinned
-//! replica generation, spreading chunks over OS threads. Queries whose
-//! fast-path search reports a structural error fall back, individually, to
+//! each query of a shard's sub-batch through `fc_coop::certified_descent`
+//! — the same certified read the serve workers run — directly against a
+//! pinned replica generation, spreading chunks over OS threads. Queries
+//! whose descent reports a structural error fall back, individually, to
 //! the owning service's full retry/degraded machinery, and escalation
 //! rounds re-batch the still-incomplete queries per next shard. The
-//! integrity contract is unchanged: every per-leg answer is verified
+//! integrity contract is unchanged: every per-leg answer is certified
 //! against the native catalogs of the generation that served it.
 //!
 //! This file is in the workspace's panic-free/index-free lint scope
@@ -35,7 +35,7 @@ use crate::partition::RoutingTable;
 use crate::replica::ReplicaSet;
 use fc_catalog::{CatalogKey, CatalogTree, NodeId};
 use fc_coop::dynamic::UpdateOp;
-use fc_coop::{explicit_batch_verified, CancelToken, ParamMode};
+use fc_coop::{certified_descent, CancelToken, ParamMode};
 use fc_resilience::{shard_seed, FaultPlan, FaultSpec};
 use fc_retrieval::{merge_shard_reports, MergedReport, RangeList, ReportRange};
 use fc_serve::{BreakerState, EpochPtr};
@@ -677,7 +677,7 @@ impl<K: CatalogKey> ShardCluster<K> {
     /// Run one scatter round: group the active queries by target shard,
     /// chunk each group, and execute the chunks on `batch_threads` OS
     /// threads. Each chunk pins one replica generation and runs the
-    /// verified batched descent on it; structural failures fall back to
+    /// certified descent per query on it; structural failures fall back to
     /// the single-query path (retries, degraded reads, failover).
     fn run_round(
         &self,
@@ -756,26 +756,22 @@ impl<K: CatalogKey> ShardCluster<K> {
             return;
         };
         let gen = svc.snapshot();
-        let sub: Vec<(NodeId, K)> = qis
-            .iter()
-            .filter_map(|&qi| queries.get(qi).copied())
-            .collect();
         let cancel = CancelToken::with_deadline(deadline);
-        let p = self.cfg.serve.processors.max(1);
-        let results = explicit_batch_verified(&gen.st, &sub, p, &cancel);
-        for (&qi, res) in qis.iter().zip(results) {
+        for &qi in qis {
             let Some(&(leaf, y)) = queries.get(qi) else {
                 continue;
             };
-            match res {
-                Ok(answers) => {
+            let path = gen.st.tree().path_from_root(leaf);
+            let mut answers = Vec::with_capacity(path.len());
+            match certified_descent(&gen.st, &path, y, &cancel, &mut answers) {
+                Ok(()) => {
                     self.stats.legs.fetch_add(1, SeqCst);
                     let _ = tx.send((
                         qi,
                         Ok(ShardLeg {
                             shard,
                             replica: ridx,
-                            path: gen.st.tree().path_from_root(leaf),
+                            path,
                             gen: Arc::clone(&gen),
                             answers,
                             degraded: false,

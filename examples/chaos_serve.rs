@@ -1,8 +1,7 @@
 //! Chaos harness for the fc-serve query service.
 //!
 //! Drives ≥10⁵ mixed operations — queries, update batches, structural and
-//! dynamic-buffer fault injections, processor-kill schedules, and forced
-//! audits — against a running [`Service`], and asserts the service's core
+//! dynamic-buffer fault injections, and forced audits — against a running [`Service`], and asserts the service's core
 //! contract: **zero silently-wrong answers**. Every `Ok` answer (exact or
 //! degraded) is re-checked against the sequential oracle on the generation
 //! that served it; corruption is allowed to cost latency (retries,
@@ -15,7 +14,7 @@ use fc_catalog::gen::{self, SizeDist};
 use fc_catalog::NodeId;
 use fc_coop::dynamic::UpdateOp;
 use fc_coop::{CoopStructure, ParamMode};
-use fc_resilience::{Fault, FaultPlan, FaultSpec};
+use fc_resilience::FaultSpec;
 use fc_serve::{QueryResult, ServeConfig, Service};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -24,7 +23,6 @@ use std::time::{Duration, Instant};
 
 const TOTAL_OPS: usize = 120_000;
 const INJECT_EVERY: usize = 6_000; // structural/dynamic fault injections
-const KILL_EVERY: usize = 2_500; // one-shot processor-kill schedules
 const AUDIT_EVERY: usize = 1_000; // explicit auditor wake-ups
 const DRAIN_AT: usize = 384; // in-flight queries before draining
 
@@ -91,7 +89,6 @@ fn main() {
     let mut queries = 0u64;
     let mut update_ops = 0u64;
     let mut injections = 0u64;
-    let mut kills = 0u64;
     let mut shed_submits = 0u64;
 
     for op in 1..=TOTAL_OPS {
@@ -107,15 +104,6 @@ fn main() {
             };
             let plan = svc.inject(&spec, rng.gen());
             injections += (plan.structural_len() + plan.dynamic_len()) as u64;
-        } else if op % KILL_EVERY == 0 {
-            svc.arm_kills(FaultPlan {
-                seed: op as u64,
-                faults: vec![Fault::KillProcessors {
-                    at_round: rng.gen_range(0..4),
-                    count: 1 << 9,
-                }],
-            });
-            kills += 1;
         } else if op % AUDIT_EVERY == 0 {
             svc.trigger_audit();
         } else if rng.gen_bool(0.10) {
@@ -157,7 +145,7 @@ fn main() {
         tally.dropped
     );
     println!("  update ops applied       {update_ops}");
-    println!("  faults injected          {injections} (+{kills} kill schedules)");
+    println!("  faults injected          {injections}");
     println!(
         "  answered exact/degraded  {}/{}",
         tally.answered_exact, tally.answered_degraded

@@ -83,7 +83,6 @@ fn incr_chaos_cfg() -> ShardConfig {
             audit_interval: Duration::from_millis(40),
             processors: 1 << 8,
             degraded_reads: false,
-            verify_answers: true,
             incremental: true,
             ..ServeConfig::default()
         },

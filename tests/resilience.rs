@@ -1,15 +1,16 @@
 //! End-to-end resilience properties: every injected corruption is caught
 //! with non-empty localized blame, the inject → detect → repair round trip
-//! restores `invariants::validate`, checked searches never return silently
-//! wrong answers on tampered structures, and processor deaths mid-search
-//! degrade gracefully.
+//! restores `invariants::validate`, checked searches and the served
+//! certified descent never return silently wrong answers on tampered
+//! structures, and processor deaths mid-search degrade gracefully.
 
 use fc_catalog::gen::{self, SizeDist};
 use fc_catalog::invariants;
 use fc_catalog::search::search_path_naive;
+use fc_catalog::{FcError, NodeId};
 use fc_coop::explicit::{coop_search_explicit, coop_search_explicit_checked};
 use fc_coop::general::binarize;
-use fc_coop::{CoopStructure, ParamMode};
+use fc_coop::{certified_descent, CancelToken, CoopStructure, ParamMode};
 use fc_pram::{Model, Pram};
 use fc_resilience::{audit, repair, Fault, FaultPlan, FaultSpec};
 use rand::rngs::SmallRng;
@@ -187,6 +188,84 @@ fn checked_search_never_answers_wrong_on_tampered_structure() {
         }
     }
     assert!(flagged > 0, "no query ever crossed a tampered bridge");
+}
+
+fn native_oracle(st: &CoopStructure<i64>, path: &[NodeId], y: i64) -> Vec<Option<i64>> {
+    path.iter()
+        .map(|&v| {
+            let cat = st.tree().catalog(v);
+            cat.get(cat.partition_point(|k| *k < y)).copied()
+        })
+        .collect()
+}
+
+/// Property: under every structural fault kind, the served read path
+/// (`certified_descent`) returns the native oracle's answer or a typed
+/// `FcError` — never a wrong answer. A query aimed at a perturbed
+/// `native_succ` entry is always caught: the `O(1)` bracket check catches
+/// per query what the checked cooperative search leaves to the audit.
+#[test]
+fn certified_descent_is_typed_or_correct_under_every_fault_kind() {
+    let mut rng = SmallRng::seed_from_u64(3031);
+    let tree = gen::balanced_binary(8, 8000, SizeDist::Uniform, &mut rng);
+    let st = CoopStructure::preprocess(tree, ParamMode::Auto);
+    let one = |f: fn(&mut FaultSpec)| {
+        let mut spec = FaultSpec::default();
+        f(&mut spec);
+        spec
+    };
+    let kinds = [
+        ("KeySwap", one(|s| s.key_swaps = 6)),
+        ("KeyClobber", one(|s| s.key_clobbers = 6)),
+        ("SupremumClobber", one(|s| s.supremum_clobbers = 6)),
+        ("BridgePerturb", one(|s| s.bridge_perturbs = 12)),
+        ("NativeSuccPerturb", one(|s| s.native_succ_perturbs = 12)),
+        ("SkeletonPerturb", one(|s| s.skeleton_perturbs = 6)),
+    ];
+    let cancel = CancelToken::new();
+    let mut out = Vec::new();
+    let mut flagged = 0usize;
+    for (name, spec) in kinds {
+        for seed in 0..6u64 {
+            let mut tampered = st.clone();
+            let plan = FaultPlan::generate(&tampered, &spec, 400 + seed);
+            assert!(plan.structural_len() > 0, "{name} seed {seed}: no site");
+            plan.apply(&mut tampered);
+            for _ in 0..60 {
+                let leaf = gen::random_leaf(tampered.tree(), &mut rng);
+                let path = tampered.tree().path_from_root(leaf);
+                let y = rng.gen_range(-10..8000i64 * 16 + 10);
+                match certified_descent(&tampered, &path, y, &cancel, &mut out) {
+                    Ok(()) => assert_eq!(
+                        out,
+                        native_oracle(&tampered, &path, y),
+                        "{name} seed {seed}: certified descent answered wrong"
+                    ),
+                    Err(FcError::Cancelled) => panic!("{name}: a live token cancelled"),
+                    Err(_) => flagged += 1,
+                }
+            }
+            // Aim one query at each perturbed rank: `y` is the clean
+            // augmented key at the entry, so the descent lands on it.
+            for fault in &plan.faults {
+                let Fault::NativeSuccPerturb { node, entry, .. } = *fault else {
+                    continue;
+                };
+                let mut v = NodeId(node);
+                let y = st.cascade().keys(v)[entry];
+                while let Some(&c) = tampered.tree().children(v).first() {
+                    v = c;
+                }
+                let path = tampered.tree().path_from_root(v);
+                let res = certified_descent(&tampered, &path, y, &cancel, &mut out);
+                assert!(
+                    matches!(res, Err(FcError::CorruptCatalog { .. })),
+                    "{name} seed {seed}: perturbed rank at node {node} entry {entry} not caught: {res:?}"
+                );
+            }
+        }
+    }
+    assert!(flagged > 0, "no random query ever hit a fault");
 }
 
 /// Property: killing processors mid-search yields the exact answer, and the

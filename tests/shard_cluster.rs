@@ -75,7 +75,6 @@ fn chaos_cfg() -> ShardConfig {
             // *error* (typed), so answerability can only come from replica
             // failover — the property this storm is about.
             degraded_reads: false,
-            verify_answers: true,
             ..ServeConfig::default()
         },
         batch_threads: 2,
