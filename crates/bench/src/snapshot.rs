@@ -207,7 +207,6 @@ pub fn measure_shard(n: usize) -> Snapshot {
         },
         batch_threads: cores,
         default_deadline: Duration::from_secs(60),
-        ..ShardConfig::default()
     };
     let t0 = Instant::now();
     let cluster = ShardCluster::start(&tree, ParamMode::Auto, cfg);
@@ -660,7 +659,6 @@ pub fn measure_net(n: usize) -> Snapshot {
         },
         batch_threads: cores,
         default_deadline: Duration::from_secs(60),
-        ..ShardConfig::default()
     };
     let t0 = Instant::now();
     let cluster = Arc::new(ShardCluster::start(&tree, ParamMode::Auto, cfg));

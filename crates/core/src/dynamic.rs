@@ -194,7 +194,7 @@ impl<K: CatalogKey> DynamicCoop<K> {
         Self::new_incremental_with(tree, mode, frac, DynConfig::default())
     }
 
-    /// [`DynamicCoop::new_incremental`] with explicit cascade tuning.
+    /// [`DynamicCoop::new_incremental`] with explicit compaction thresholds.
     pub fn new_incremental_with(
         tree: CatalogTree<K>,
         mode: ParamMode,
@@ -943,7 +943,6 @@ mod tests {
         let cfg = fc_dyn::DynConfig {
             min_dead: 16,
             dead_frac: 0.1,
-            ..fc_dyn::DynConfig::default()
         };
         let mut dy = DynamicCoop::new_incremental_with(tree, ParamMode::Auto, 0.25, cfg);
         let mut pram = Pram::new(1 << 12, Model::Crew);

@@ -11,7 +11,10 @@
 //! carries a cycle guard — a corrupted `next`/`prev` chain produces
 //! [`DynError::CorruptLink`], never a hang.
 
-use crate::patch::{DynConfig, DynCounters, PatchLog, PatchReport, QueryReport};
+use crate::patch::{
+    DynConfig, DynCounters, PatchLog, PatchReport, QueryReport, BLOCK_HI, BLOCK_LO, FINGER_GAP,
+    LOG_CAP, SAMPLE, WALK_BUDGET,
+};
 use crate::DynError;
 use fc_catalog::{CatalogKey, CatalogTree, NodeId};
 
@@ -101,7 +104,7 @@ pub struct DynCascade<K: CatalogKey> {
 
 impl<K: CatalogKey> DynCascade<K> {
     /// Build the cascade bottom-up from `tree` (children sampled into
-    /// parents every `cfg.sample`-th augmented entry), with sentinels,
+    /// parents every `SAMPLE`-th augmented entry), with sentinels,
     /// bridges, back-references and finger indexes in place.
     pub fn build(tree: &CatalogTree<K>, cfg: DynConfig) -> Self {
         let n = tree.len();
@@ -119,7 +122,7 @@ impl<K: CatalogKey> DynCascade<K> {
             nodes: vec![NodeList::default(); n],
             cfg,
             counters: DynCounters::default(),
-            log: PatchLog::new(cfg.log_cap),
+            log: PatchLog::new(LOG_CAP),
             scratch: Vec::new(),
             density_dirty: Vec::new(),
         };
@@ -139,7 +142,6 @@ impl<K: CatalogKey> DynCascade<K> {
         // s-th live augmented entry of each child.
         let mut entries: Vec<(K, u16, u32)> =
             tree.catalog(id).iter().map(|&k| (k, NATIVE, NIL)).collect();
-        let s = self.cfg.sample.max(2) as usize;
         for (ci, &c) in self.children[v].iter().enumerate() {
             let child = &self.nodes[c as usize];
             let mut cur = child.head;
@@ -150,7 +152,7 @@ impl<K: CatalogKey> DynCascade<K> {
                     break;
                 }
                 rank += 1;
-                if rank.is_multiple_of(s) {
+                if rank.is_multiple_of(SAMPLE) {
                     entries.push((slot.key, 1 + ci as u16, cur));
                 }
                 cur = slot.next;
@@ -180,11 +182,10 @@ impl<K: CatalogKey> DynCascade<K> {
             down: NIL,
             up: NIL,
         });
-        let gap = self.cfg.finger_gap.max(2) as usize;
         let fingers: Vec<(K, u32)> = slots
             .iter()
             .enumerate()
-            .filter(|(i, _)| i % gap == 0)
+            .filter(|(i, _)| i % FINGER_GAP as usize == 0)
             .map(|(i, s)| (s.key, i as u32))
             .collect();
         let live = entries.len() as u32;
@@ -209,7 +210,7 @@ impl<K: CatalogKey> DynCascade<K> {
         };
     }
 
-    /// Tuning knobs in force.
+    /// Compaction thresholds in force.
     pub fn config(&self) -> DynConfig {
         self.cfg
     }
@@ -405,7 +406,7 @@ impl<K: CatalogKey> DynCascade<K> {
             if steps > cap_v {
                 return Err(DynError::CorruptLink { node: v });
             }
-            if steps > self.cfg.walk_budget {
+            if steps > WALK_BUDGET {
                 rep.finger_fallbacks += 1;
                 return self.locate_ge(c, y, &mut rep.slots_walked);
             }
@@ -518,7 +519,7 @@ impl<K: CatalogKey> DynCascade<K> {
         } else {
             target = self.link_new_slot(v, e, key, NATIVE, NIL)?;
             // Densify the finger gap the locate found too long.
-            if rep.slots_walked - walked_before > 2 * self.cfg.finger_gap {
+            if rep.slots_walked - walked_before > 2 * FINGER_GAP {
                 let list = self.list_mut(v)?;
                 let pos = list.fingers.partition_point(|&(k, _)| k < key);
                 list.fingers.insert(pos, (key, target));
@@ -586,7 +587,7 @@ impl<K: CatalogKey> DynCascade<K> {
             // Block merge: a live run shrunk below the hysteresis floor
             // gives one bounding sample back to the parent.
             let count = self.block_live_count(nv, ns, &mut rep.slots_walked)?;
-            if count < self.cfg.block_lo {
+            if count < BLOCK_LO {
                 let rb = self.right_sampled_boundary(nv, ns, &mut rep.slots_walked)?;
                 if rb != NIL {
                     let up2 = self.slot_ref(nv, rb)?.up;
@@ -726,11 +727,10 @@ impl<K: CatalogKey> DynCascade<K> {
 
     /// Count live slots in the block containing `s` (the run between the
     /// nearest live sampled slots on either side, exclusive), capped at
-    /// `block_hi + 1` — enough to decide both hysteresis thresholds.
+    /// `BLOCK_HI + 1` — enough to decide both hysteresis thresholds.
     fn block_live_count(&self, v: u32, s: u32, walked: &mut u32) -> Result<u32, DynError> {
         let list = self.list(v)?;
         let cap = list.slots.len() as u32 + 2;
-        let hi = self.cfg.block_hi;
         let mut count = 0u32;
         // Left: walk to the nearest live sampled boundary or the head.
         let mut cur = s;
@@ -745,7 +745,7 @@ impl<K: CatalogKey> DynCascade<K> {
             }
             if slot.live && slot.kind != SENTINEL && cur != s {
                 count += 1;
-                if count > hi {
+                if count > BLOCK_HI {
                     return Ok(count);
                 }
             }
@@ -775,7 +775,7 @@ impl<K: CatalogKey> DynCascade<K> {
                 }
                 if slot.live {
                     count += 1;
-                    if count > hi {
+                    if count > BLOCK_HI {
                         return Ok(count);
                     }
                 }
@@ -818,7 +818,7 @@ impl<K: CatalogKey> DynCascade<K> {
     }
 
     /// Hysteresis split propagation: while the block containing the
-    /// touched slot overflows `block_hi`, promote a middle element into
+    /// touched slot overflows `BLOCK_HI`, promote a middle element into
     /// the parent and continue one level up with the fresh sample slot.
     fn propagate_split(
         &mut self,
@@ -840,7 +840,7 @@ impl<K: CatalogKey> DynCascade<K> {
                 return Ok(());
             }
             let count = self.block_live_count(v, s, &mut rep.slots_walked)?;
-            if count <= self.cfg.block_hi {
+            if count <= BLOCK_HI {
                 return Ok(());
             }
             let m = self.block_middle(v, s, count / 2, &mut rep.slots_walked)?;
@@ -1147,7 +1147,6 @@ mod tests {
         let cfg = DynConfig {
             min_dead: 8,
             dead_frac: 0.05,
-            ..DynConfig::default()
         };
         let mut dc = DynCascade::build(&tree, cfg);
         assert!(dc.needs_compaction().is_none());

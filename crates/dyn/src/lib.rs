@@ -20,11 +20,11 @@
 //!   across unrelated edits) and the mirrored slot carries the matching
 //!   `up` back-reference;
 //! * **hysteresis** — when the live run between two consecutive samples
-//!   of a child grows past `block_hi`, a middle element is promoted into
-//!   the parent (a *split*); when it shrinks below `block_lo`, a bounding
-//!   sample is tombstoned (a *merge*). Splits and merges are themselves
-//!   insertions/deletions one level up, so maintenance propagates only
-//!   along the affected node-to-root path;
+//!   of a child grows past 8 (`2 * s` for the sampling rate `s = 4`), a
+//!   middle element is promoted into the parent (a *split*); when it
+//!   shrinks below 2, a bounding sample is tombstoned (a *merge*).
+//!   Splits and merges are themselves insertions/deletions one level up,
+//!   so maintenance propagates only along the affected node-to-root path;
 //! * **fingers** — a sparse sorted `(key, slot)` index per node gives
 //!   `O(log)` entry into any list; finger slots are never invalidated
 //!   (tombstones, not splices), only their gaps drift, and the update
@@ -45,6 +45,10 @@
 //! with `O(1)`-per-level queries in general; this implementation is
 //! engineering within that envelope — amortized per-path updates, walks
 //! bounded by hysteresis plus a budget with a typed finger fallback.
+//!
+//! The cascade's shape (sampling rate, hysteresis band, finger gap, walk
+//! budget) is fixed by constants in [`patch`]; [`DynConfig`] holds only
+//! the compaction thresholds.
 
 pub mod cascade;
 pub mod patch;

@@ -2,49 +2,44 @@
 //! the cascade-wide counters the serving layer surfaces as write-path
 //! health.
 
-/// Tuning knobs for the incremental cascade.
+/// Sampling rate `s`: at build time every `s`-th augmented entry of a
+/// child is mirrored into its parent (the static builder's rate).
+pub(crate) const SAMPLE: usize = 4;
+/// Split a block (the live run between consecutive samples of one child)
+/// when it exceeds this many live entries: `2 * s`.
+pub(crate) const BLOCK_HI: u32 = 8;
+/// Merge (tombstone a bounding sample) when a block shrinks below this
+/// many live entries: `max(1, s / 2)`.
+pub(crate) const BLOCK_LO: u32 = 2;
+/// Target gap between finger entries; a locate that walked more than
+/// `2 * FINGER_GAP` slots densifies its gap.
+pub(crate) const FINGER_GAP: u32 = 32;
+/// Forward-walk budget for bridge descent before falling back to the
+/// child's finger index (counted, not an error).
+pub(crate) const WALK_BUDGET: u32 = 256;
+/// How many recent [`PatchReport`]s the [`PatchLog`] retains.
+pub(crate) const LOG_CAP: usize = 64;
+
+/// Compaction thresholds for the incremental cascade.
 ///
-/// The defaults mirror the static builder's sampling rate (`s = 4`) with
-/// a 2:1 hysteresis band around it, so a freshly built [`DynCascade`]
-/// (see [`crate::DynCascade::build`]) starts in the middle of its
-/// comfort zone and neither splits nor merges on the first update.
+/// The cascade's shape is fixed: it samples at the static builder's rate
+/// with a 2:1 hysteresis band around it, so a freshly built
+/// [`DynCascade`](crate::DynCascade) starts in the middle of its comfort
+/// zone and neither splits nor merges on the first update.
 #[derive(Debug, Clone, Copy)]
 pub struct DynConfig {
-    /// Sampling rate `s`: at build time every `s`-th augmented entry of a
-    /// child is mirrored into its parent.
-    pub sample: u32,
-    /// Split a block (the live run between consecutive samples of one
-    /// child) when it exceeds this many live entries. Default `2 * s`.
-    pub block_hi: u32,
-    /// Merge (tombstone a bounding sample) when a block shrinks below
-    /// this many live entries. Default `max(1, s / 2)`.
-    pub block_lo: u32,
     /// A node is compaction-due when `dead > max(min_dead, dead_frac *
     /// total)`.
     pub dead_frac: f64,
     /// Absolute tombstone allowance before density is even considered.
     pub min_dead: u32,
-    /// Target gap between finger entries; a locate that walked more than
-    /// `2 * finger_gap` slots densifies its gap.
-    pub finger_gap: u32,
-    /// Forward-walk budget for bridge descent before falling back to the
-    /// child's finger index (counted, not an error).
-    pub walk_budget: u32,
-    /// How many recent [`PatchReport`]s the [`PatchLog`] retains.
-    pub log_cap: usize,
 }
 
 impl Default for DynConfig {
     fn default() -> Self {
         DynConfig {
-            sample: 4,
-            block_hi: 8,
-            block_lo: 2,
             dead_frac: 0.5,
             min_dead: 64,
-            finger_gap: 32,
-            walk_budget: 256,
-            log_cap: 64,
         }
     }
 }

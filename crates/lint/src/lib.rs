@@ -9,7 +9,6 @@
 //! | `commit-order` | temp-write→fsync→rename, WAL-append-before-apply, persist-before-manifest orderings |
 //! | `panic-free` | no `unwrap`/`expect`/panicking macros in any non-test workspace code |
 //! | `hot-path-strict` | the PR 2 rule: panic-free *and* index-free inside the recovery/serving hot-path scopes |
-//! | `traced-cells` | no raw `.cells[...]` escapes outside `crates/pram` |
 //! | `hot-alloc` | allocations inside descent/probe hot paths (the flat-arena rewrite worklist) |
 //!
 //! Findings can be silenced two ways, both auditable:

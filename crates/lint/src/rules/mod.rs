@@ -3,8 +3,8 @@
 //! Every rule implements [`Rule`] and registers in [`all`]. Rules whose
 //! findings may be grandfathered via the committed baseline return `true`
 //! from [`Rule::baselined`]; the strict protocol rules (`hot-path-strict`,
-//! `commit-order`, `traced-cells`) are zero-tolerance — only reasoned
-//! inline suppressions can silence them.
+//! `commit-order`) are zero-tolerance — only reasoned inline suppressions
+//! can silence them.
 
 mod commit;
 mod locks;
@@ -14,7 +14,7 @@ use crate::{Finding, Workspace};
 
 pub use commit::CommitOrder;
 pub use locks::LockDiscipline;
-pub use simple::{HotAlloc, HotPathStrict, PanicFree, TracedCells};
+pub use simple::{HotAlloc, HotPathStrict, PanicFree};
 
 /// A static-analysis rule.
 pub trait Rule {
@@ -38,7 +38,6 @@ pub fn all() -> Vec<Box<dyn Rule>> {
         Box::new(LockDiscipline),
         Box::new(CommitOrder),
         Box::new(HotPathStrict),
-        Box::new(TracedCells),
         Box::new(PanicFree),
         Box::new(HotAlloc),
     ]

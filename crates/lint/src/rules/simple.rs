@@ -196,41 +196,6 @@ fn check_strict(file: &Analyzed, start: usize, end: usize, out: &mut Vec<Finding
     }
 }
 
-/// `traced-cells`: outside `crates/pram`, no raw `.cells[...]` access —
-/// all shadow-memory traffic must go through the traced read/write API so
-/// the discipline analyzer sees it. The accessor method `.cells()` stays
-/// legal.
-pub struct TracedCells;
-
-impl Rule for TracedCells {
-    fn id(&self) -> &'static str {
-        "traced-cells"
-    }
-
-    fn description(&self) -> &'static str {
-        "no raw `.cells[...]` escapes outside crates/pram"
-    }
-
-    fn check(&self, ws: &Workspace, out: &mut Vec<Finding>) {
-        for file in &ws.files {
-            if !ws.force_apply && file.src.rel.starts_with("crates/pram/") {
-                continue;
-            }
-            // Whole file, tests included: even test code must not bypass
-            // the traced API (it would mask discipline violations).
-            let end = file.src.code.len();
-            scan_lines(file, 0, end, &[".cells["], out, |_| {
-                (
-                    "traced-cells",
-                    "raw `.cells[...]` access outside crates/pram — use the traced \
-                     read/write API"
-                        .to_owned(),
-                )
-            });
-        }
-    }
-}
-
 /// `hot-alloc`: allocations inside the descent/probe hot paths. These are
 /// exactly the sites ROADMAP item 1's flat-arena rewrite will remove;
 /// the baseline file is the worklist, and any *new* allocation in a hot
@@ -466,15 +431,6 @@ mod tests {
     fn strict_flags_indexing_in_fixture_mode() {
         let f = run(&HotPathStrict, "fn hot() { let x = v[0].unwrap(); }\n");
         assert_eq!(f.len(), 2, "{f:?}");
-    }
-
-    #[test]
-    fn traced_cells_catches_escapes_but_not_accessor() {
-        let f = run(
-            &TracedCells,
-            "fn f(m: &M) { m.cells[0] = 1; let _ = m.cells(); }\n",
-        );
-        assert_eq!(f.len(), 1, "{f:?}");
     }
 
     #[test]

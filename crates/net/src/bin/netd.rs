@@ -106,7 +106,6 @@ fn run() -> i32 {
         },
         batch_threads: 2,
         default_deadline: Duration::from_secs(10),
-        ..ShardConfig::default()
     };
     let cluster = Arc::new(ShardCluster::<i64>::start(&tree, ParamMode::Auto, cfg));
     let net_cfg = NetConfig {

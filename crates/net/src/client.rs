@@ -20,8 +20,6 @@ pub struct ClientConfig {
     pub read_timeout: Duration,
     /// Per-request write timeout.
     pub write_timeout: Duration,
-    /// Inbound frame payload cap (health reports are the largest).
-    pub max_frame_len: u32,
 }
 
 impl Default for ClientConfig {
@@ -30,7 +28,6 @@ impl Default for ClientConfig {
             connect_timeout: Duration::from_secs(5),
             read_timeout: Duration::from_secs(30),
             write_timeout: Duration::from_secs(5),
-            max_frame_len: proto::DEFAULT_MAX_FRAME_LEN,
         }
     }
 }
@@ -38,7 +35,6 @@ impl Default for ClientConfig {
 /// One blocking connection speaking strict request/reply `FCNET001`.
 pub struct NetClient {
     stream: TcpStream,
-    cfg: ClientConfig,
 }
 
 impl NetClient {
@@ -68,7 +64,7 @@ impl NetClient {
                             source: e,
                         })?;
                     let _ = stream.set_nodelay(true);
-                    return Ok(NetClient { stream, cfg });
+                    return Ok(NetClient { stream });
                 }
                 Err(e) => last = Some(e),
             }
@@ -82,8 +78,8 @@ impl NetClient {
     fn round_trip<K: KeyCodec>(&mut self, req: &Request<K>) -> Result<Response<K>, NetError> {
         let frame = proto::encode_request(req);
         proto::write_frame(&mut self.stream, &frame)?;
-        let reply = proto::read_frame(&mut self.stream, self.cfg.max_frame_len)?;
-        let (resp, _) = proto::decode_response::<K>(&reply, self.cfg.max_frame_len)?;
+        let reply = proto::read_frame(&mut self.stream, proto::DEFAULT_MAX_FRAME_LEN)?;
+        let (resp, _) = proto::decode_response::<K>(&reply, proto::DEFAULT_MAX_FRAME_LEN)?;
         Ok(resp)
     }
 

@@ -41,8 +41,9 @@ pub const HEADER_LEN: usize = 13;
 /// Bytes after the payload: the CRC-32.
 pub const TRAILER_LEN: usize = 4;
 
-/// Default payload-length cap (1 MiB). Real frames are tens of bytes;
-/// the cap only bounds hostility.
+/// Payload-length cap (1 MiB) that both the server and the client
+/// enforce on inbound frames. Real frames are tens of bytes (health
+/// reports are the largest); the cap only bounds hostility.
 pub const DEFAULT_MAX_FRAME_LEN: u32 = 1 << 20;
 
 /// Longest detail/health text the encoder will emit (longer text is

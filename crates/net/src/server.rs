@@ -35,7 +35,7 @@ use crate::error::{ErrorCode, NetError, ProtoError, WireError};
 use crate::proto::{self, Request, Response, WireAnswer};
 use fc_catalog::{CatalogKey, NodeId};
 use fc_serve::ServeError;
-use fc_shard::{HeatConfig, ShardCluster, ShardError};
+use fc_shard::{shard_heat, ShardCluster, ShardError};
 use fc_store::KeyCodec;
 use std::collections::HashSet;
 use std::fmt::Write as _;
@@ -45,6 +45,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// Cadence at which handlers re-check the drain flag and idle clock while
+/// waiting for bytes.
+const POLL_INTERVAL: Duration = Duration::from_millis(100);
+
 /// Ingress tuning knobs. Defaults suit tests and the `fc-netd` binary;
 /// the loadgen example tightens them to provoke shedding.
 #[derive(Debug, Clone)]
@@ -52,17 +56,12 @@ pub struct NetConfig {
     /// Concurrent-connection cap; excess connections get a typed
     /// `Overloaded` reply and are closed.
     pub max_conns: usize,
-    /// Payload-length cap for inbound frames.
-    pub max_frame_len: u32,
     /// A connection must complete a frame within this of the previous
     /// one (or of accept), else it is closed.
     pub idle_timeout: Duration,
     /// Per-socket write timeout (a peer that stops reading cannot wedge
     /// a handler forever).
     pub write_timeout: Duration,
-    /// Cadence at which handlers re-check the drain flag and idle clock
-    /// while waiting for bytes.
-    pub poll_interval: Duration,
     /// After drain starts, the window during which still-arriving
     /// queries receive a typed `ShuttingDown` reply before the
     /// connection closes.
@@ -75,10 +74,8 @@ impl Default for NetConfig {
     fn default() -> Self {
         NetConfig {
             max_conns: 64,
-            max_frame_len: proto::DEFAULT_MAX_FRAME_LEN,
             idle_timeout: Duration::from_secs(10),
             write_timeout: Duration::from_secs(5),
-            poll_interval: Duration::from_millis(100),
             drain_grace: Duration::from_secs(1),
             drain_timeout: Duration::from_secs(10),
         }
@@ -452,7 +449,7 @@ fn handle_conn<K>(
     K: CatalogKey + KeyCodec + Send + Sync + 'static,
 {
     let cfg = &shared.cfg;
-    if stream.set_read_timeout(Some(cfg.poll_interval)).is_err()
+    if stream.set_read_timeout(Some(POLL_INTERVAL)).is_err()
         || stream.set_write_timeout(Some(cfg.write_timeout)).is_err()
     {
         return;
@@ -466,7 +463,7 @@ fn handle_conn<K>(
             // retry elsewhere. Closing is the typed signal now.
             return;
         }
-        let frame = match reader.poll(&mut stream, cfg.max_frame_len) {
+        let frame = match reader.poll(&mut stream, proto::DEFAULT_MAX_FRAME_LEN) {
             PollFrame::Ready(f) => f,
             PollFrame::Pending => {
                 if idle_since.elapsed() >= cfg.idle_timeout {
@@ -484,7 +481,7 @@ fn handle_conn<K>(
             PollFrame::Failed(_) => return,
         };
         idle_since = Instant::now();
-        let req = match proto::decode_request::<K>(&frame, cfg.max_frame_len) {
+        let req = match proto::decode_request::<K>(&frame, proto::DEFAULT_MAX_FRAME_LEN) {
             Ok((req, _)) => req,
             Err(e) => {
                 shared.proto_errors.fetch_add(1, Ordering::Relaxed);
@@ -609,7 +606,6 @@ where
 {
     let mut s = String::with_capacity(1024);
     let stats = cluster.stats();
-    let heat_cfg = HeatConfig::default();
     let _ = writeln!(s, "fc-netd up_ms {}", shared.elapsed_ms());
     let _ = writeln!(
         s,
@@ -655,17 +651,7 @@ where
         ws.tombstone_ratio(),
     );
     for (shard, replicas) in cluster.health().iter().enumerate() {
-        let mut heat: f64 = 0.0;
-        for h in replicas {
-            let shed_frac = if h.submitted > 0 {
-                h.shed as f64 / h.submitted as f64
-            } else {
-                0.0
-            };
-            let score = heat_cfg.queue_weight * h.queue_frac() + heat_cfg.shed_weight * shed_frac;
-            heat = heat.max(score);
-        }
-        let _ = writeln!(s, "shard {shard} heat {heat:.4}");
+        let _ = writeln!(s, "shard {shard} heat {:.4}", shard_heat(replicas));
         for (ri, h) in replicas.iter().enumerate() {
             let _ = writeln!(
                 s,

@@ -1,8 +1,8 @@
-//! The violation engine shared by [`crate::traced`] and [`crate::shadow`].
+//! The violation engine behind [`crate::shadow`].
 //!
 //! One synchronous PRAM round is a bag of `(pid, access, cell)` records.
 //! The engine keeps the full pid *set* per cell (not just one witness, which
-//! would mask conflicts — see the `TracedMem` regression tests) and reports
+//! would mask conflicts — see `tests/pram_discipline.rs`) and reports
 //! **every** conflicting pair per cell per round, plus the deterministic
 //! access trace of any cell, so a violation can be turned into a minimal
 //! repro (round + pid set + ordered cell trace).

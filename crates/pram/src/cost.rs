@@ -20,7 +20,7 @@
 ///
 /// The discipline does not change how costs are *counted* (steps are steps in
 /// all three models); it is carried along so that reports and the
-/// [`crate::traced`] checker know which discipline an algorithm claims.
+/// [`crate::shadow`] checker know which discipline an algorithm claims.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Model {
     /// Exclusive read, exclusive write. The paper's preprocessing bound

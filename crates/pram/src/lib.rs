@@ -16,10 +16,11 @@
 //!    work, peak per-step parallelism, and round count. Every theorem-shaped
 //!    experiment in the workspace reports `Pram` step counts, which is
 //!    exactly the quantity the paper's theorems bound.
-//! 2. [`traced`] — an instrumented shared memory that executes virtual
-//!    processors round-by-round and verifies that the access pattern obeys
-//!    the claimed discipline (EREW/CREW/CRCW). Used by tests to check that,
-//!    e.g., the CREW cooperative search never performs a concurrent write.
+//! 2. [`shadow`] — a provenance-tracking shadow memory. The real
+//!    algorithms report every access through the [`Tracer`] hooks, and
+//!    [`ShadowMem`] checks each synchronous round against the claimed
+//!    discipline (EREW/CREW/CRCW), so tests can verify that, e.g., the CREW
+//!    cooperative search never performs a concurrent write.
 //! 3. [`exec`] — thin rayon-backed helpers for running the same round
 //!    structure on real cores, used by the wall-clock Criterion benches.
 //!
@@ -35,7 +36,6 @@ pub mod exec;
 pub mod listrank;
 pub mod primitives;
 pub mod shadow;
-pub mod traced;
 
 pub use cost::{Model, Pram, PramReport};
 pub use primitives::{coop_lower_bound, coop_lower_bound_traced, lower_bound, lower_bound_naive};

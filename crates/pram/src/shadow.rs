@@ -1,13 +1,12 @@
 //! Provenance-tracking shadow memory for replaying the *real* algorithms.
 //!
-//! Unlike [`crate::traced::TracedMem`], which owns a flat cell array and
-//! forces algorithms to be rewritten against it, the shadow memory records
-//! only the *provenance* of accesses: every read/write is reported as
-//! `(pid, round, phase label, logical cell)` while the values keep living in
-//! the ordinary data structures. The production code paths stay untouched —
-//! they are made generic over a [`Tracer`] and instantiated with the
-//! zero-sized [`NoTrace`] on the fast path (monomorphized to nothing) or
-//! with [`ShadowMem`] when the discipline analyzer replays them.
+//! The shadow memory records only the *provenance* of accesses: every
+//! read/write is reported as `(pid, round, phase label, logical cell)`
+//! while the values keep living in the ordinary data structures. The
+//! production code paths stay untouched — they are made generic over a
+//! [`Tracer`] and instantiated with the zero-sized [`NoTrace`] on the fast
+//! path (monomorphized to nothing) or with [`ShadowMem`] when the
+//! discipline analyzer replays them.
 //!
 //! A *logical cell* is `(region, index)`, where a [`Region`] names one
 //! array-like piece of the structure, e.g. `("aug", node)` for node's

@@ -51,12 +51,6 @@ pub struct ServeConfig {
     pub queue_cap: usize,
     /// Deadline applied when a query does not carry its own.
     pub default_deadline: Duration,
-    /// Certified-descent retries before falling back to a degraded read.
-    pub retries: u32,
-    /// Decorrelated-jitter backoff floor between retries.
-    pub backoff_base: Duration,
-    /// Decorrelated-jitter backoff ceiling between retries.
-    pub backoff_cap: Duration,
     /// Background audit period (the auditor also wakes on demand).
     pub audit_interval: Duration,
     /// Virtual processors of the writer's PRAM cost meter, which prices
@@ -65,11 +59,6 @@ pub struct ServeConfig {
     /// Serve quarantined / persistently failing queries from the native
     /// catalogs instead of erroring.
     pub degraded_reads: bool,
-    /// In half-open quarantine, every `probe_every`-th quarantined-path
-    /// query runs the certified descent as a probe.
-    pub probe_every: u64,
-    /// Consecutive probe successes that close the breaker.
-    pub close_after: u64,
     /// Rebuild threshold as a fraction of total catalog size (see
     /// [`DynamicCoop::new`]).
     pub rebuild_frac: f64,
@@ -89,20 +78,21 @@ impl Default for ServeConfig {
             workers: 4,
             queue_cap: 256,
             default_deadline: Duration::from_millis(250),
-            retries: 3,
-            backoff_base: Duration::from_micros(50),
-            backoff_cap: Duration::from_millis(2),
             audit_interval: Duration::from_millis(100),
             processors: 1 << 12,
             degraded_reads: true,
-            probe_every: 4,
-            close_after: 4,
             rebuild_frac: 0.25,
             incremental: false,
             seed: 0x5E12_FE11,
         }
     }
 }
+
+/// In half-open quarantine, every `PROBE_EVERY`-th quarantined-path query
+/// runs the certified descent as a probe.
+const PROBE_EVERY: u64 = 4;
+/// Consecutive probe successes that close the breaker.
+const CLOSE_AFTER: u64 = 4;
 
 /// One published, immutable snapshot of the search structure.
 pub struct Generation<K: CatalogKey> {
@@ -307,7 +297,7 @@ impl<K: CatalogKey> Service<K> {
         let shared = Arc::new(Shared {
             epoch: EpochPtr::new(gen0, cfg.workers + 2),
             queue: AdmissionQueue::new(cfg.queue_cap),
-            quarantine: Quarantine::new(cfg.probe_every, cfg.close_after),
+            quarantine: Quarantine::new(PROBE_EVERY, CLOSE_AFTER),
             stats: Stats::default(),
             shutdown: AtomicBool::new(false),
             audit_wake: (Mutex::new(false), Condvar::new()),

@@ -21,7 +21,14 @@ use fc_coop::{certified_descent, CancelToken};
 use std::sync::atomic::Ordering::SeqCst;
 use std::sync::Arc;
 use std::thread;
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+/// Certified-descent retries before falling back to a degraded read.
+const RETRIES: u32 = 3;
+/// Decorrelated-jitter backoff floor between retries.
+const BACKOFF_BASE: Duration = Duration::from_micros(50);
+/// Decorrelated-jitter backoff ceiling between retries.
+const BACKOFF_CAP: Duration = Duration::from_millis(2);
 
 /// Worker thread body: drain the admission queue until it closes.
 pub(crate) fn worker_loop<K: CatalogKey>(shared: Arc<Shared<K>>, slot: usize) {
@@ -29,8 +36,7 @@ pub(crate) fn worker_loop<K: CatalogKey>(shared: Arc<Shared<K>>, slot: usize) {
         .cfg
         .seed
         .wrapping_add((slot as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    let mut backoff =
-        DecorrelatedJitter::new(shared.cfg.backoff_base, shared.cfg.backoff_cap, jitter_seed);
+    let mut backoff = DecorrelatedJitter::new(BACKOFF_BASE, BACKOFF_CAP, jitter_seed);
     while let Some(job) = shared.queue.pop() {
         let Job {
             leaf,
@@ -116,7 +122,7 @@ fn execute<K: CatalogKey>(
 }
 
 /// The cold path after a structural failure on `gen`: wake the auditor,
-/// back off, and retry on the freshest generation up to `cfg.retries`
+/// back off, and retry on the freshest generation up to [`RETRIES`]
 /// times; then serve a degraded read, or fail with the last error and
 /// every generation the attempts saw.
 #[allow(clippy::too_many_arguments)]
@@ -139,7 +145,7 @@ fn retry<K: CatalogKey>(
     loop {
         shared.stats.corruption_detected.fetch_add(1, SeqCst);
         shared.request_audit();
-        if attempts > shared.cfg.retries {
+        if attempts > RETRIES {
             break;
         }
         shared.stats.retries.fetch_add(1, SeqCst);

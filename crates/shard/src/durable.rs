@@ -384,7 +384,6 @@ mod tests {
             },
             batch_threads: 2,
             default_deadline: Duration::from_secs(10),
-            ..ShardConfig::default()
         }
     }
 

@@ -21,12 +21,12 @@ pub enum ShardError {
         /// The last replica's error.
         last: ServeError,
     },
-    /// The end-to-end deadline budget ran out before the scatter reached
-    /// `shard` (earlier legs consumed it). Distinct from a per-leg
-    /// [`ServeError::Timeout`], which is a leg that *started* and blew
-    /// its slice.
+    /// The end-to-end deadline budget ran out before `shard` answered:
+    /// earlier legs consumed it, or a batched leg's slice expired
+    /// mid-descent. Distinct from a per-leg [`ServeError::Timeout`],
+    /// which is a replica timing out a single-query leg.
     BudgetExhausted {
-        /// First shard the gather could not afford to ask.
+        /// First shard the query could not get an answer from in budget.
         shard: usize,
         /// Escalation legs completed before the budget died.
         legs_done: usize,

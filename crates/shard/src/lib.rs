@@ -44,7 +44,7 @@ pub use durable::{ColdStartReport, DurableCluster};
 pub use error::ShardError;
 pub use fc_store::{StoreConfig, StoreError};
 pub use partition::RoutingTable;
-pub use rebalance::HeatConfig;
+pub use rebalance::shard_heat;
 pub use replica::ReplicaSet;
 pub use router::{
     ClusterState, ClusterWriteStats, ShardCluster, ShardConfig, ShardLeg, ShardStats, ShardedOk,

@@ -29,46 +29,36 @@
 
 use crate::router::{build_group, ClusterState, ShardCluster};
 use fc_catalog::CatalogKey;
+use fc_serve::ReplicaHealth;
 use std::sync::atomic::Ordering::SeqCst;
 use std::sync::Arc;
 
-/// How the rebalancer scores shard heat; tune via
-/// [`ShardCluster::rebalance_if_hot`].
-#[derive(Debug, Clone, Copy)]
-pub struct HeatConfig {
-    /// Weight of instantaneous queue saturation (`queue_len / queue_cap`).
-    pub queue_weight: f64,
-    /// Weight of the lifetime shed fraction (`shed / submitted`).
-    pub shed_weight: f64,
-}
+/// Heat weight of instantaneous queue saturation (`queue_len / queue_cap`).
+const QUEUE_WEIGHT: f64 = 1.0;
+/// Heat weight of the lifetime shed fraction (`shed / (shed + submitted)`).
+const SHED_WEIGHT: f64 = 2.0;
 
-impl Default for HeatConfig {
-    fn default() -> Self {
-        HeatConfig {
-            queue_weight: 1.0,
-            shed_weight: 2.0,
-        }
-    }
+/// One shard's heat: the hottest of its replicas, each scored as weighted
+/// queue saturation plus weighted lifetime shed fraction. The rebalancer
+/// ranks shards by it and the fc-net Health frame reports it.
+pub fn shard_heat(replicas: &[ReplicaHealth]) -> f64 {
+    replicas
+        .iter()
+        .map(|h| {
+            let shed_frac = h.shed as f64 / (h.shed + h.submitted).max(1) as f64;
+            QUEUE_WEIGHT * h.queue_frac() + SHED_WEIGHT * shed_frac
+        })
+        .fold(0.0f64, f64::max)
 }
 
 impl<K: CatalogKey> ShardCluster<K> {
-    /// Score every shard's heat (max over its replicas) and return the
-    /// hottest as `(shard, score)`. Scores are `0.0` on an idle cluster.
-    pub fn hottest_shard(&self, heat: HeatConfig) -> Option<(usize, f64)> {
-        let per_shard = self.health();
-        per_shard
+    /// Score every shard's [`shard_heat`] and return the hottest as
+    /// `(shard, score)`. Scores are `0.0` on an idle cluster.
+    pub fn hottest_shard(&self) -> Option<(usize, f64)> {
+        self.health()
             .iter()
+            .map(|replicas| shard_heat(replicas))
             .enumerate()
-            .map(|(shard, replicas)| {
-                let score = replicas
-                    .iter()
-                    .map(|h| {
-                        let shed_frac = h.shed as f64 / (h.shed + h.submitted).max(1) as f64;
-                        heat.queue_weight * h.queue_frac() + heat.shed_weight * shed_frac
-                    })
-                    .fold(0.0f64, f64::max);
-                (shard, score)
-            })
             .max_by(|a, b| a.1.total_cmp(&b.1))
     }
 
@@ -118,8 +108,8 @@ impl<K: CatalogKey> ShardCluster<K> {
 
     /// Split the hottest shard if its heat score exceeds `threshold`.
     /// Returns the new table version if a split was published.
-    pub fn rebalance_if_hot(&self, heat: HeatConfig, threshold: f64) -> Option<u64> {
-        let (shard, score) = self.hottest_shard(heat)?;
+    pub fn rebalance_if_hot(&self, threshold: f64) -> Option<u64> {
+        let (shard, score) = self.hottest_shard()?;
         if score <= threshold {
             return None;
         }
@@ -129,7 +119,6 @@ impl<K: CatalogKey> ShardCluster<K> {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::router::ShardConfig;
     use fc_catalog::gen::{self, SizeDist};
     use fc_catalog::NodeId;
@@ -152,7 +141,6 @@ mod tests {
             },
             batch_threads: 2,
             default_deadline: Duration::from_secs(10),
-            ..ShardConfig::default()
         }
     }
 
@@ -201,7 +189,7 @@ mod tests {
         c.serve.workers = 0;
         c.serve.queue_cap = 2;
         let cluster = crate::ShardCluster::start(&tree, ParamMode::Auto, c);
-        let idle = cluster.hottest_shard(HeatConfig::default());
+        let idle = cluster.hottest_shard();
         assert!(matches!(idle, Some((_, s)) if s == 0.0), "{idle:?}");
         // Hammer submissions at shard 0's key range through replica 0.
         let state = cluster.state();
@@ -210,13 +198,11 @@ mod tests {
         for i in 0..20 {
             let _ = svc.submit(leaf, i, None);
         }
-        let (hot, score) = cluster.hottest_shard(HeatConfig::default()).unwrap();
+        let (hot, score) = cluster.hottest_shard().unwrap();
         assert_eq!(hot, 0);
         assert!(score > 0.5, "expected heat from sheds+queue, got {score}");
         // The threshold gate works both ways.
-        assert!(cluster
-            .rebalance_if_hot(HeatConfig::default(), 1e9)
-            .is_none());
+        assert!(cluster.rebalance_if_hot(1e9).is_none());
         drop(state);
         cluster.shutdown();
     }

@@ -33,7 +33,7 @@
 use crate::error::ShardError;
 use crate::partition::RoutingTable;
 use crate::replica::ReplicaSet;
-use fc_catalog::{CatalogKey, CatalogTree, NodeId};
+use fc_catalog::{CatalogKey, CatalogTree, FcError, NodeId};
 use fc_coop::dynamic::UpdateOp;
 use fc_coop::{certified_descent, CancelToken, ParamMode};
 use fc_resilience::{shard_seed, FaultPlan, FaultSpec};
@@ -56,12 +56,8 @@ pub struct ShardConfig {
     pub serve: ServeConfig,
     /// OS threads the batched fast path spreads chunks over.
     pub batch_threads: usize,
-    /// Maximum scatter legs (owner + escalations) per query.
-    pub escalation_legs: usize,
     /// End-to-end deadline when a query does not carry its own.
     pub default_deadline: Duration,
-    /// Concurrent reader slots on the cluster's routing-state pointer.
-    pub reader_slots: usize,
 }
 
 impl Default for ShardConfig {
@@ -71,12 +67,15 @@ impl Default for ShardConfig {
             replicas: 2,
             serve: ServeConfig::default(),
             batch_threads: 4,
-            escalation_legs: 8,
             default_deadline: Duration::from_secs(1),
-            reader_slots: 16,
         }
     }
 }
+
+/// Maximum scatter legs (owner + escalations) per query.
+const ESCALATION_LEGS: usize = 8;
+/// Concurrent reader slots on the cluster's routing-state pointer.
+const READER_SLOTS: usize = 16;
 
 /// One immutable routing epoch: a versioned table plus the replica groups
 /// it indexes. Rebalancing publishes a *new* `ClusterState` through the
@@ -298,10 +297,9 @@ impl<K: CatalogKey> ShardCluster<K> {
             .map(|shard| Arc::new(build_group(tree, &table, shard, mode, &cfg)))
             .collect();
         let state = Arc::new(ClusterState { table, groups });
-        let slots = cfg.reader_slots.max(2);
         ShardCluster {
-            epoch: EpochPtr::new(state, slots),
-            slot_pool: Mutex::new((0..slots).collect()),
+            epoch: EpochPtr::new(state, READER_SLOTS),
+            slot_pool: Mutex::new((0..READER_SLOTS).collect()),
             update_lock: Mutex::new(()),
             stats: Stats::default(),
             shutdown: AtomicBool::new(false),
@@ -330,10 +328,9 @@ impl<K: CatalogKey> ShardCluster<K> {
             .map(|(shard, sub)| Arc::new(build_group_from_tree(sub, shard, mode, &cfg)))
             .collect();
         let state = Arc::new(ClusterState { table, groups });
-        let slots = cfg.reader_slots.max(2);
         Some(ShardCluster {
-            epoch: EpochPtr::new(state, slots),
-            slot_pool: Mutex::new((0..slots).collect()),
+            epoch: EpochPtr::new(state, READER_SLOTS),
+            slot_pool: Mutex::new((0..READER_SLOTS).collect()),
             update_lock: Mutex::new(()),
             stats: Stats::default(),
             shutdown: AtomicBool::new(false),
@@ -431,7 +428,6 @@ impl<K: CatalogKey> ShardCluster<K> {
         by: Instant,
     ) -> Result<ShardedOk<K>, ShardError> {
         let shards = state.table.shards();
-        let max_legs = self.cfg.escalation_legs.max(1);
         let mut merged: Vec<Option<K>> = Vec::new();
         let mut path: Vec<NodeId> = Vec::new();
         let mut legs: Vec<ShardLeg<K>> = Vec::new();
@@ -444,7 +440,7 @@ impl<K: CatalogKey> ShardCluster<K> {
             if legs_done > 0 && merged.iter().all(|a| a.is_some()) {
                 break; // every path node answered
             }
-            if legs_done >= max_legs {
+            if legs_done >= ESCALATION_LEGS {
                 // More shards might hold the successor but the leg budget
                 // is spent: a typed error, never a possibly-wrong None.
                 self.stats.budget_exhausted.fetch_add(1, SeqCst);
@@ -455,7 +451,7 @@ impl<K: CatalogKey> ShardCluster<K> {
                 self.stats.budget_exhausted.fetch_add(1, SeqCst);
                 return Err(ShardError::BudgetExhausted { shard, legs_done });
             }
-            let legs_left = (max_legs - legs_done).min(shards - shard).max(1);
+            let legs_left = (ESCALATION_LEGS - legs_done).min(shards - shard).max(1);
             let slice = remaining / legs_left as u32;
             let Some(group) = state.groups.get(shard) else {
                 break;
@@ -570,7 +566,6 @@ impl<K: CatalogKey> ShardCluster<K> {
         let by = Instant::now() + deadline.unwrap_or(self.cfg.default_deadline);
         let state = self.state();
         let shards = state.table.shards();
-        let max_legs = self.cfg.escalation_legs.max(1);
 
         let mut merged: Vec<Option<Vec<Option<K>>>> = (0..n).map(|_| None).collect();
         let mut legs_acc: Vec<Vec<ShardLeg<K>>> = (0..n).map(|_| Vec::new()).collect();
@@ -583,7 +578,7 @@ impl<K: CatalogKey> ShardCluster<K> {
             .collect();
 
         let mut round = 0usize;
-        while !active.is_empty() && round < max_legs {
+        while !active.is_empty() && round < ESCALATION_LEGS {
             let remaining = by.saturating_duration_since(Instant::now());
             if remaining.is_zero() {
                 for &(qi, shard) in &active {
@@ -597,8 +592,8 @@ impl<K: CatalogKey> ShardCluster<K> {
                 }
                 break;
             }
-            let slice = remaining / (max_legs - round).max(1) as u32;
-            let results = self.run_round(&state, queries, &active, slice);
+            let slice = remaining / (ESCALATION_LEGS - round).max(1) as u32;
+            let results = self.run_round(&state, queries, &active, slice, round);
             let mut next_active: Vec<(usize, usize)> = Vec::new();
             for (qi, res) in results {
                 match res {
@@ -678,13 +673,15 @@ impl<K: CatalogKey> ShardCluster<K> {
     /// chunk each group, and execute the chunks on `batch_threads` OS
     /// threads. Each chunk pins one replica generation and runs the
     /// certified descent per query on it; structural failures fall back to
-    /// the single-query path (retries, degraded reads, failover).
+    /// the single-query path (retries, degraded reads, failover). Every
+    /// active query has completed `legs_done` legs (one per earlier round).
     fn run_round(
         &self,
         state: &ClusterState<K>,
         queries: &[(NodeId, K)],
         active: &[(usize, usize)],
         slice: Duration,
+        legs_done: usize,
     ) -> Vec<(usize, Result<ShardLeg<K>, ShardError>)> {
         let shards = state.table.shards();
         let mut by_shard: Vec<Vec<usize>> = (0..shards).map(|_| Vec::new()).collect();
@@ -717,7 +714,7 @@ impl<K: CatalogKey> ShardCluster<K> {
                     let Some((shard, qis)) = work.get(it) else {
                         break;
                     };
-                    self.run_chunk(state, queries, *shard, qis, slice, deadline, &tx);
+                    self.run_chunk(state, queries, *shard, qis, slice, deadline, legs_done, &tx);
                 });
             }
         });
@@ -735,6 +732,7 @@ impl<K: CatalogKey> ShardCluster<K> {
         qis: &[usize],
         slice: Duration,
         deadline: Instant,
+        legs_done: usize,
         tx: &mpsc::Sender<(usize, Result<ShardLeg<K>, ShardError>)>,
     ) {
         let Some(group) = state.groups.get(shard) else {
@@ -780,10 +778,16 @@ impl<K: CatalogKey> ShardCluster<K> {
                         }),
                     ));
                 }
+                Err(FcError::Cancelled) => {
+                    // The round's slice ran out: the same typed error the
+                    // batch's own deadline check gives, not corruption.
+                    self.stats.budget_exhausted.fetch_add(1, SeqCst);
+                    let _ = tx.send((qi, Err(ShardError::BudgetExhausted { shard, legs_done })));
+                }
                 Err(_structural) => {
-                    // The fast path saw corruption (or cancellation): wake
-                    // the auditor and reroute through the owning service's
-                    // full machinery — retries, degraded reads, failover.
+                    // The fast path saw corruption: wake the auditor and
+                    // reroute through the owning service's full machinery
+                    // — retries, degraded reads, failover.
                     svc.trigger_audit();
                     self.stats.fallbacks.fetch_add(1, SeqCst);
                     let _ = tx.send((qi, self.ask_shard(group, shard, leaf, y, slice)));
@@ -1009,7 +1013,6 @@ mod tests {
             },
             batch_threads: 2,
             default_deadline: Duration::from_secs(10),
-            ..ShardConfig::default()
         }
     }
 
@@ -1081,6 +1084,41 @@ mod tests {
         }
         let stats = cluster.shutdown();
         assert_eq!(stats.batch_queries, 120);
+    }
+
+    #[test]
+    fn expired_batch_leg_is_budget_exhausted_not_a_fallback() {
+        let tree = full_tree(39);
+        let cluster = ShardCluster::start(&tree, ParamMode::Auto, small_cfg(2, 1));
+        let state = cluster.state();
+        let leaf = cluster.leaves()[0];
+        let before = cluster.stats();
+        let (tx, rx) = mpsc::channel();
+        let expired = Instant::now();
+        let slice = Duration::from_secs(5);
+        cluster.run_chunk(&state, &[(leaf, 7)], 0, &[0], slice, expired, 2, &tx);
+        drop(tx);
+        let sent: Vec<_> = rx.try_iter().collect();
+        assert_eq!(sent.len(), 1);
+        assert!(
+            matches!(
+                sent[0].1,
+                Err(ShardError::BudgetExhausted {
+                    shard: 0,
+                    legs_done: 2
+                })
+            ),
+            "{:?}",
+            sent[0].1.as_ref().map(|leg| &leg.answers)
+        );
+        let after = cluster.stats();
+        assert_eq!(
+            after.fallbacks, before.fallbacks,
+            "no single-query fallback"
+        );
+        assert_eq!(after.budget_exhausted, before.budget_exhausted + 1);
+        drop(state);
+        cluster.shutdown();
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Repo automation tasks, built on the `fc-lint` static-analysis library.
 //!
 //! ```text
-//! cargo run -p xtask -- lint                  # fast legacy gate: hot-path-strict + traced-cells
+//! cargo run -p xtask -- lint                  # fast legacy gate: hot-path-strict
 //! cargo run -p xtask -- lint --all            # every rule + suppressions + committed baseline
 //! cargo run -p xtask -- lint --rule <id>...   # specific rules (see --list)
 //! cargo run -p xtask -- lint --json           # findings as a JSON array on stdout
@@ -75,8 +75,8 @@ fn parse_lint_args(args: &[String]) -> Result<LintArgs, String> {
     Ok(out)
 }
 
-/// The fast pre-`--all` gate: the zero-tolerance rules PR 2 shipped with.
-const LEGACY_RULES: &[&str] = &["hot-path-strict", "traced-cells"];
+/// The fast pre-`--all` gate: the original zero-tolerance hot-path rule.
+const LEGACY_RULES: &[&str] = &["hot-path-strict"];
 
 const BASELINE_FILE: &str = "lint-baseline.txt";
 

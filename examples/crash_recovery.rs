@@ -50,7 +50,6 @@ fn demo_cfg() -> ShardConfig {
         },
         batch_threads: 2,
         default_deadline: Duration::from_secs(10),
-        ..ShardConfig::default()
     }
 }
 

@@ -92,7 +92,6 @@ fn server_role() -> i32 {
             },
             batch_threads: 2,
             default_deadline: Duration::from_secs(10),
-            ..ShardConfig::default()
         },
     ));
     let server = NetServer::start(

@@ -13,7 +13,7 @@ use fc_coop::dynamic::UpdateOp;
 use fc_coop::ParamMode;
 use fc_resilience::FaultSpec;
 use fc_serve::ServeConfig;
-use fc_shard::{HeatConfig, ShardCluster, ShardConfig};
+use fc_shard::{ShardCluster, ShardConfig};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::time::{Duration, Instant};
@@ -33,7 +33,6 @@ fn main() {
         },
         batch_threads: 4,
         default_deadline: Duration::from_secs(10),
-        ..ShardConfig::default()
     };
     let t0 = Instant::now();
     let cluster = ShardCluster::start(&tree, ParamMode::Auto, cfg);
@@ -113,10 +112,7 @@ fn main() {
     }
 
     // --- rebalance: split the hottest (or first) shard -------------------
-    let hot = cluster
-        .hottest_shard(HeatConfig::default())
-        .map(|(s, _)| s)
-        .unwrap_or(0);
+    let hot = cluster.hottest_shard().map(|(s, _)| s).unwrap_or(0);
     match cluster.split_shard(hot) {
         Some(v) => println!(
             "split shard {hot}: table now v{v}, {} shards",

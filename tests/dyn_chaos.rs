@@ -87,9 +87,7 @@ fn incr_chaos_cfg() -> ShardConfig {
             ..ServeConfig::default()
         },
         batch_threads: 2,
-        escalation_legs: 8,
         default_deadline: Duration::from_secs(20),
-        ..ShardConfig::default()
     }
 }
 
@@ -239,7 +237,6 @@ fn crash_cfg() -> ShardConfig {
         },
         batch_threads: 2,
         default_deadline: Duration::from_secs(10),
-        ..ShardConfig::default()
     }
 }
 

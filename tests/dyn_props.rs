@@ -188,7 +188,6 @@ fn delete_storms_stay_oracle_equal_through_compaction() {
     let cfg = fc_dyn::DynConfig {
         min_dead: 32,
         dead_frac: 0.15,
-        ..Default::default()
     };
     let mut incr = DynamicCoop::new_incremental_with(tree.clone(), ParamMode::Auto, 0.25, cfg);
     let mut oracle = SetOracle::new(&tree);

@@ -136,7 +136,6 @@ fn small_cluster(tree: &CatalogTree<i64>) -> Arc<ShardCluster<i64>> {
             },
             batch_threads: 1,
             default_deadline: Duration::from_secs(10),
-            ..ShardConfig::default()
         },
     ))
 }
@@ -277,6 +276,54 @@ fn health_report_over_the_wire_names_every_shard() {
         assert!(
             text.contains(needle),
             "health report missing `{needle}`:\n{text}"
+        );
+    }
+    drop(client);
+    let report = server.drain();
+    assert_eq!(report.forced, 0, "clean drain after health: {report:?}");
+}
+
+/// The Health frame's per-shard heat is the score the rebalancer acts on
+/// (`fc_shard::shard_heat`), not a second formula: a replica that admitted
+/// 2 queries and shed 18 reads the same on the wire as to the rebalancer.
+#[test]
+fn health_frame_heat_equals_the_rebalancer_score() {
+    let mut rng = SmallRng::seed_from_u64(0x4EA7);
+    let tree = gen::balanced_binary(3, 300, SizeDist::Uniform, &mut rng);
+    let cluster = Arc::new(ShardCluster::start(
+        &tree,
+        fc_coop::ParamMode::Auto,
+        ShardConfig {
+            shards: 2,
+            replicas: 1,
+            serve: ServeConfig {
+                workers: 0,
+                queue_cap: 2,
+                audit_interval: Duration::from_secs(3600),
+                ..ServeConfig::default()
+            },
+            ..ShardConfig::default()
+        },
+    ));
+    let leaf = cluster.leaves()[0];
+    let state = cluster.state();
+    let svc = state.groups[0].replica(0).expect("replica 0");
+    for y in 0..20 {
+        let _ = svc.submit(leaf, y, None);
+    }
+    drop(state);
+    let server =
+        NetServer::start(Arc::clone(&cluster), "127.0.0.1:0", NetConfig::default()).expect("bind");
+    let mut client =
+        NetClient::connect(server.local_addr(), ClientConfig::default()).expect("connect");
+    let text = client.health::<i64>().expect("health round trip");
+    let health = cluster.health();
+    assert!(health[0][0].shed > 0, "shard 0 must have shed");
+    for (shard, replicas) in health.iter().enumerate() {
+        let line = format!("shard {shard} heat {:.4}", fc_shard::shard_heat(replicas));
+        assert!(
+            text.lines().any(|l| l == line),
+            "health report must carry `{line}`:\n{text}"
         );
     }
     drop(client);

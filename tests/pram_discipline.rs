@@ -1,11 +1,16 @@
 //! Access-discipline checks: the paper claims specific PRAM models for its
 //! algorithms (EREW preprocessing, CREW search, CRCW only for indirect
 //! retrieval). These tests execute the *round structure* of representative
-//! algorithm phases on the traced memory and assert the claimed discipline
-//! is respected.
+//! algorithm phases against the shadow memory and assert the claimed
+//! discipline is respected. Values live in plain arrays; every round
+//! reports its accesses through the [`Tracer`] hooks and ends at a
+//! `barrier()`, where the round is checked against the model.
 
-use fc_pram::traced::{ConflictKind, TracedMem};
-use fc_pram::Model;
+use fc_pram::conflict::ConflictKind;
+use fc_pram::{Model, Region, ShadowMem, Tracer};
+
+/// The flat shared memory the rounds below address.
+const MEM: Region = ("mem", 0);
 
 /// EREW parallel merge by rank computation: each of the n output slots is
 /// written by exactly one processor, and each processor reads only its own
@@ -19,22 +24,24 @@ fn erew_merge_scatter_round_is_clean() {
     let mut cells = vec![0i64; 256];
     cells[..64].copy_from_slice(&a);
     cells[64..128].copy_from_slice(&b);
-    let mut mem = TracedMem::new(cells, Model::Erew);
+    let mut sh = ShadowMem::new(Model::Erew);
 
     // Round: processor i handles a[i] (i < 64) or b[i-64]; its output rank
     // is i's own value (a[i] = 2i goes to slot 2i; b[j] to 2j+1) — each
     // processor reads one private cell and writes one private cell.
-    mem.round(128, |pid, ctx| {
-        let v = *ctx.read(pid);
+    for pid in 0..128 {
+        sh.read(pid, MEM, pid);
         let rank = if pid < 64 {
             2 * pid
         } else {
             2 * (pid - 64) + 1
         };
-        ctx.write(128 + rank, v);
-    });
-    assert!(mem.violations().is_empty(), "{:?}", mem.violations());
-    let out = &mem.cells()[128..];
+        sh.write(pid, MEM, 128 + rank);
+        cells[128 + rank] = cells[pid];
+    }
+    sh.barrier();
+    assert!(sh.violations().is_empty(), "{:?}", sh.violations());
+    let out = &cells[128..];
     assert!(out.windows(2).all(|w| w[0] <= w[1]));
 }
 
@@ -47,12 +54,15 @@ fn erew_skeleton_fill_round_is_clean() {
     // parent key cell (distinct by Lemma 1) and writing its own child key
     // cell.
     let m = 8usize;
-    let mut mem = TracedMem::new((0..m as i64 * 2).collect::<Vec<i64>>(), Model::Erew);
-    mem.round(m, |pid, ctx| {
-        let parent_key = *ctx.read(pid); // tree j's parent key cell
-        ctx.write(m + pid, parent_key + 1); // tree j's child key cell
-    });
-    assert!(mem.violations().is_empty());
+    let mut cells: Vec<i64> = (0..m as i64 * 2).collect();
+    let mut sh = ShadowMem::new(Model::Erew);
+    for pid in 0..m {
+        sh.read(pid, MEM, pid); // tree j's parent key cell
+        sh.write(pid, MEM, m + pid); // tree j's child key cell
+        cells[m + pid] = cells[pid] + 1;
+    }
+    sh.barrier();
+    assert!(sh.violations().is_empty());
 }
 
 /// The cooperative hop is CREW, not EREW: every processor of a window
@@ -67,31 +77,34 @@ fn crew_hop_round_has_concurrent_reads_but_exclusive_writes() {
     for (i, c) in cells[2..2 + window].iter_mut().enumerate() {
         *c = i as i64; // catalog values 0..window
     }
-    let mut mem = TracedMem::new(cells, Model::Crew);
-    mem.round(window, |pid, ctx| {
-        let y = *ctx.read(0); // concurrent read: fine under CREW
-        let cand = *ctx.read(2 + pid); // private candidate
+    let mut sh = ShadowMem::new(Model::Crew);
+    for pid in 0..window {
+        sh.read(pid, MEM, 0); // concurrent read: fine under CREW
+        let y = cells[0];
+        sh.read(pid, MEM, 2 + pid); // private candidate
+        let cand = cells[2 + pid];
         let prev = if pid == 0 {
             i64::MIN
         } else {
-            *ctx.read(2 + pid - 1)
+            sh.read(pid, MEM, 2 + pid - 1);
+            cells[2 + pid - 1]
         };
-        let hit = (prev < y && y <= cand) as i64;
-        ctx.write(2 + window + pid, hit);
-    });
-    assert!(mem.violations().is_empty(), "{:?}", mem.violations());
+        sh.write(pid, MEM, 2 + window + pid);
+        cells[2 + window + pid] = (prev < y && y <= cand) as i64;
+    }
+    sh.barrier();
+    assert!(sh.violations().is_empty(), "{:?}", sh.violations());
     // Exactly one processor's test succeeded.
-    let hits: i64 = mem.cells()[2 + window..].iter().sum();
+    let hits: i64 = cells[2 + window..].iter().sum();
     assert_eq!(hits, 1);
 
     // The same round under EREW must be flagged (cell 0 read by all).
-    let mut cells = vec![0i64; 2 + 2 * window];
-    cells[0] = 17;
-    let mut erew = TracedMem::new(cells, Model::Erew);
-    erew.round(window, |pid, ctx| {
-        let _ = *ctx.read(0);
-        ctx.write(2 + window + pid, 0);
-    });
+    let mut erew = ShadowMem::new(Model::Erew);
+    for pid in 0..window {
+        erew.read(pid, MEM, 0);
+        erew.write(pid, MEM, 2 + window + pid);
+    }
+    erew.barrier();
     assert!(
         !erew.violations().is_empty(),
         "EREW must flag the shared read"
@@ -106,15 +119,19 @@ fn crcw_linkout_round() {
     // Every non-empty range writes itself as "first non-empty" into cell 0;
     // the arbitrary-CRCW winner is enough for building the linked list.
     let run = |model: Model| {
-        let mut mem = TracedMem::new(vec![-1i64; 1 + ranges], model);
-        mem.round(ranges, |pid, ctx| {
+        let mut cells = vec![-1i64; 1 + ranges];
+        let mut sh = ShadowMem::new(model);
+        for pid in 0..ranges {
             let nonempty = pid % 3 != 0;
             if nonempty {
-                ctx.write(0, pid as i64);
+                sh.write(pid, MEM, 0);
+                cells[0] = pid as i64;
             }
-            ctx.write(1 + pid, nonempty as i64);
-        });
-        (mem.violations().len(), mem.cells()[0])
+            sh.write(pid, MEM, 1 + pid);
+            cells[1 + pid] = nonempty as i64;
+        }
+        sh.barrier();
+        (sh.violations().len(), cells[0])
     };
     let (crcw_violations, winner) = run(Model::Crcw);
     assert_eq!(crcw_violations, 0);
@@ -125,18 +142,22 @@ fn crcw_linkout_round() {
 
 /// Regression for the last-pid-wins masking bug: a cell read by pids
 /// {0, 1} and then written by pid 1 is a read/write conflict against the
-/// *other* reader — the old bookkeeping kept only the most recent pid per
-/// cell, so pid 1's own read overwrote pid 0's and the conflict vanished.
+/// *other* reader — bookkeeping that kept only the most recent pid per
+/// cell let pid 1's own read overwrite pid 0's, and the conflict vanished.
 #[test]
 fn read_write_conflict_is_not_masked_by_a_later_same_pid_read() {
-    let mut mem = TracedMem::new(vec![0i64; 4], Model::Crew);
-    mem.round(2, |pid, ctx| {
-        let v = *ctx.read(0); // pid 0 reads, then pid 1 reads (masking setup)
+    let mut cells = [0i64; 4];
+    let mut sh = ShadowMem::new(Model::Crew);
+    for pid in 0..2 {
+        sh.read(pid, MEM, 0); // pid 0 reads, then pid 1 reads (masking setup)
+        let v = cells[0];
         if pid == 1 {
-            ctx.write(0, v + 1); // pid 1 also writes the cell
+            sh.write(pid, MEM, 0); // pid 1 also writes the cell
+            cells[0] = v + 1;
         }
-    });
-    let v = mem.violations();
+    }
+    sh.barrier();
+    let v = sh.violations();
     assert_eq!(v.len(), 1, "{v:?}");
     assert_eq!(v[0].kind, ConflictKind::ReadWrite);
     assert!(
@@ -150,11 +171,12 @@ fn read_write_conflict_is_not_masked_by_a_later_same_pid_read() {
 /// readers of one cell yield all C(4,2) = 6 pairs.
 #[test]
 fn every_conflicting_pair_is_reported() {
-    let mut mem = TracedMem::new(vec![7i64; 2], Model::Erew);
-    mem.round(4, |_pid, ctx| {
-        let _ = *ctx.read(0);
-    });
-    let v = mem.violations();
+    let mut sh = ShadowMem::new(Model::Erew);
+    for pid in 0..4 {
+        sh.read(pid, MEM, 0);
+    }
+    sh.barrier();
+    let v = sh.violations();
     assert_eq!(v.len(), 1, "{v:?}");
     assert_eq!(v[0].kind, ConflictKind::ConcurrentRead);
     assert_eq!(
@@ -169,19 +191,23 @@ fn every_conflicting_pair_is_reported() {
 #[test]
 fn scheduled_kill_prevents_the_dead_pid_conflict() {
     let run = |kill: bool| {
-        let mut mem = TracedMem::new(vec![0i64; 4], Model::Erew);
+        let mut cells = [0i64; 4];
+        let mut sh = ShadowMem::new(Model::Erew);
         if kill {
-            mem.schedule_kill(1, 1);
+            sh.schedule_kill(1, 1);
         }
         for _ in 0..2 {
             // Round body: pids 0 and 1 both read cell 0 — an EREW conflict
             // unless one of them is dead.
-            mem.round(2, |pid, ctx| {
-                let v = *ctx.read(0);
-                ctx.write(2 + pid, v);
-            });
+            let dead = sh.dead_pids();
+            for pid in (0..2).filter(|pid| !dead.contains(pid)) {
+                sh.read(pid, MEM, 0);
+                sh.write(pid, MEM, 2 + pid);
+                cells[2 + pid] = cells[0];
+            }
+            sh.barrier();
         }
-        mem.violations().len()
+        sh.violations().len()
     };
     assert_eq!(run(false), 2, "both rounds conflict while pid 1 lives");
     assert_eq!(

@@ -78,9 +78,7 @@ fn chaos_cfg() -> ShardConfig {
             ..ServeConfig::default()
         },
         batch_threads: 2,
-        escalation_legs: 8,
         default_deadline: Duration::from_secs(20),
-        ..ShardConfig::default()
     }
 }
 

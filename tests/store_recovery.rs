@@ -55,7 +55,6 @@ fn cfg(shards: usize, replicas: usize) -> ShardConfig {
         },
         batch_threads: 2,
         default_deadline: Duration::from_secs(10),
-        ..ShardConfig::default()
     }
 }
 
