@@ -39,6 +39,7 @@ use fc_catalog::{invariants, CatalogKey, CatalogTree, NodeId};
 use fc_dyn::{DynCascade, DynConfig, DynError, QueryReport};
 use fc_pram::cost::Pram;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// One buffered update, for [`DynamicCoop::apply_batch`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,11 +54,14 @@ pub enum UpdateOp<K> {
 /// epoch bookkeeping and the amortisation experiments.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GenStats {
-    /// Monotone generation id: bumped by exactly 1 on every rebuild. The
-    /// static structure returned by [`DynamicCoop::structure`] is the one
-    /// produced by generation `generation`.
+    /// Monotone generation id: the generation of the structure this
+    /// wrapper started from (see [`DynamicCoop::wrap`]; 0 for a fresh
+    /// tree), bumped by exactly 1 on every rebuild. The static structure
+    /// returned by [`DynamicCoop::structure`] is the one produced by
+    /// generation `generation`.
     pub generation: u64,
-    /// Total rebuilds performed (same as `generation`; kept for clarity).
+    /// Rebuilds this wrapper performed (`generation` minus the starting
+    /// generation).
     pub rebuilds: u64,
     /// Buffered changes drained into the logical catalogs by the most
     /// recent rebuild.
@@ -143,8 +147,13 @@ pub enum BufferBlame {
 }
 
 /// A dynamic wrapper over the cooperative structure.
+///
+/// The static structure is shared and immutable: [`DynamicCoop::structure`]
+/// hands out the `Arc` a serving layer publishes, a rebuild swaps in a new
+/// one, and the in-place repair and fault-injection hooks copy it first
+/// when anyone else still holds it.
 pub struct DynamicCoop<K: CatalogKey> {
-    st: CoopStructure<K>,
+    st: Arc<CoopStructure<K>>,
     ins: Vec<BTreeSet<K>>,
     del: Vec<BTreeSet<K>>,
     changes: usize,
@@ -163,14 +172,29 @@ pub struct DynamicCoop<K: CatalogKey> {
 }
 
 impl<K: CatalogKey> DynamicCoop<K> {
-    /// Wrap a freshly preprocessed structure. `frac` is the rebuild
-    /// threshold as a fraction of the current total catalog size
-    /// (`0 < frac`; 0.25 is a reasonable default).
+    /// Preprocess `tree` and wrap the result (see [`DynamicCoop::wrap`]).
+    /// `frac` is the rebuild threshold as a fraction of the current total
+    /// catalog size (`0 < frac`; 0.25 is a reasonable default).
     pub fn new(tree: CatalogTree<K>, mode: ParamMode, frac: f64) -> Self {
+        Self::wrap(
+            Arc::new(CoopStructure::preprocess(tree, mode)),
+            0,
+            mode,
+            frac,
+        )
+    }
+
+    /// Wrap an already preprocessed structure without copying it: the
+    /// wrapper shares `st` with every other holder (peer replicas,
+    /// published generations) until a rebuild replaces it. `generation` is
+    /// the generation that produced `st` (0 for a fresh tree); the
+    /// wrapper's [`GenStats::generation`] counts on from it. Rebuilds
+    /// preprocess with `mode`.
+    pub fn wrap(st: Arc<CoopStructure<K>>, generation: u64, mode: ParamMode, frac: f64) -> Self {
         assert!(frac > 0.0);
-        let nodes = tree.len();
+        let nodes = st.tree().len();
         DynamicCoop {
-            st: CoopStructure::preprocess(tree, mode),
+            st,
             ins: vec![BTreeSet::new(); nodes],
             del: vec![BTreeSet::new(); nodes],
             changes: 0,
@@ -178,7 +202,10 @@ impl<K: CatalogKey> DynamicCoop<K> {
             frac,
             rebuild_min: 64,
             rebuilds: 0,
-            gen: GenStats::default(),
+            gen: GenStats {
+                generation,
+                ..GenStats::default()
+            },
             incr: None,
             retry: Vec::new(),
         }
@@ -201,9 +228,16 @@ impl<K: CatalogKey> DynamicCoop<K> {
         frac: f64,
         cfg: DynConfig,
     ) -> Self {
-        let mut dy = Self::new(tree, mode, frac);
-        dy.incr = Some(DynCascade::build(dy.st.tree(), cfg));
-        dy
+        Self::new(tree, mode, frac).into_incremental(cfg)
+    }
+
+    /// Switch a freshly built wrapper to incremental mode: build `fc_dyn`'s
+    /// cascade over the (shared) structure's catalogs. Nothing is buffered
+    /// yet, so no update is lost by the switch.
+    pub fn into_incremental(mut self, cfg: DynConfig) -> Self {
+        debug_assert_eq!(self.changes, 0, "switch modes before the first update");
+        self.incr = Some(DynCascade::build(self.st.tree(), cfg));
+        self
     }
 
     /// Whether updates take the incremental path.
@@ -216,8 +250,9 @@ impl<K: CatalogKey> DynamicCoop<K> {
         self.incr.as_ref()
     }
 
-    /// The underlying static structure (rebuilt lazily).
-    pub fn structure(&self) -> &CoopStructure<K> {
+    /// The underlying static structure (rebuilt lazily), as the shared
+    /// `Arc` a publish hands out without copying.
+    pub fn structure(&self) -> &Arc<CoopStructure<K>> {
         &self.st
     }
 
@@ -504,7 +539,9 @@ impl<K: CatalogKey> DynamicCoop<K> {
         let new_tree = CatalogTree::from_parents(parents, catalogs);
         // Charge the parallel preprocessing cost (level-synchronous).
         let mut cost = pram.fork();
-        self.st = CoopStructure::preprocess_cost(new_tree, self.mode, &mut cost);
+        self.st = Arc::new(CoopStructure::preprocess_cost(
+            new_tree, self.mode, &mut cost,
+        ));
         pram.join_max([cost]);
         // Incremental mode: the rebuild doubles as compaction — a fresh
         // tombstone-free cascade over the just-drained catalogs.
@@ -599,11 +636,13 @@ impl<K: CatalogKey> DynamicCoop<K> {
     }
 
     /// Mutable static structure — repair hook for the serving layer's
-    /// auditor (quarantine → repair → republish). Not part of the stable
-    /// API.
+    /// auditor (quarantine → repair → republish) and for fault injection.
+    /// Copy on write: when a published generation or a peer replica still
+    /// shares the structure, this wrapper first takes a private copy, so
+    /// the write never reaches them. Not part of the stable API.
     #[doc(hidden)]
     pub fn structure_mut_for_repair(&mut self) -> &mut CoopStructure<K> {
-        &mut self.st
+        Arc::make_mut(&mut self.st)
     }
 
     /// Mutable incremental cascade — fault-injection hook (corruptions

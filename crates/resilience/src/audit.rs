@@ -134,8 +134,10 @@ impl BlameReport {
 }
 
 /// Audit every redundant field of `st` (see the module docs for the check
-/// list). Runs in time linear in the structure size; never panics on
-/// corrupted input.
+/// list). Runs in `O(W log W)` time for the `W` words it scans: the
+/// provenance check merges each catalog once with each neighbor's, and the
+/// completeness, `native_succ` and bridge checks binary-search one entry
+/// at a time. Never panics on corrupted input.
 pub fn audit<K: CatalogKey>(st: &CoopStructure<K>) -> BlameReport {
     let fc = st.cascade();
     let tree = st.tree();
@@ -187,30 +189,23 @@ pub fn audit<K: CatalogKey>(st: &CoopStructure<K>) -> BlameReport {
             }
         }
         // 4. Provenance: every non-terminal value is native or a neighbor
-        //    sample. Neighbor catalogs may themselves be corrupt/unsorted,
-        //    so fall back to linear scans when binary search is unsafe.
-        let parent_keys = tree.parent(v).map(|p| fc.keys(p));
-        for (i, &k) in keys.iter().take(n - 1).enumerate() {
-            let mut found = native.binary_search(&k).is_ok();
-            if !found {
-                for &c in tree.children(v) {
-                    if fc.keys(c).contains(&k) {
-                        found = true;
-                        break;
-                    }
-                }
-            }
-            if !found {
-                if let Some(pk) = parent_keys {
-                    found = pk.contains(&k);
-                }
-            }
-            if !found {
-                findings.push(Blame::Catalog {
-                    node: v.0,
-                    entry: i,
-                });
-            }
+        //    sample. One merge per neighbor catalog (see `mark_present`).
+        let body = keys.get(..n - 1).unwrap_or_default();
+        let mut found: Vec<bool> = body
+            .iter()
+            .map(|k| native.binary_search(k).is_ok())
+            .collect();
+        for &c in tree.children(v) {
+            mark_present(body, sorted, fc.keys(c), &mut found);
+        }
+        if let Some(p) = tree.parent(v) {
+            mark_present(body, sorted, fc.keys(p), &mut found);
+        }
+        for (i, _) in found.iter().enumerate().filter(|(_, f)| !**f) {
+            findings.push(Blame::Catalog {
+                node: v.0,
+                entry: i,
+            });
         }
         // 5. native_succ exactness.
         words += aug.native_succ.len();
@@ -314,6 +309,38 @@ pub fn audit<K: CatalogKey>(st: &CoopStructure<K>) -> BlameReport {
     }
 }
 
+/// Set `found[i]` for every `keys[i]` that occurs in `neighbor`. The
+/// neighbor may itself be corrupt: it is merged as is when strictly
+/// increasing and through a sorted copy otherwise. A strictly increasing
+/// `keys` (`keys_sorted`) walks both lists once, `O(|keys| + |neighbor|)`;
+/// an unsorted one (already blamed by the order check) binary-searches
+/// each of its keys instead.
+fn mark_present<K: CatalogKey>(keys: &[K], keys_sorted: bool, neighbor: &[K], found: &mut [bool]) {
+    let copy: Vec<K>;
+    let neighbor = if neighbor.windows(2).all(|w| w.first() < w.last()) {
+        neighbor
+    } else {
+        let mut c = neighbor.to_vec();
+        c.sort_unstable();
+        c.dedup();
+        copy = c;
+        &copy
+    };
+    if keys_sorted {
+        let mut rest = neighbor.iter().peekable();
+        for (k, f) in keys.iter().zip(found.iter_mut()) {
+            while rest.next_if(|x| *x < k).is_some() {}
+            if rest.peek() == Some(&k) {
+                *f = true;
+            }
+        }
+    } else {
+        for (k, f) in keys.iter().zip(found.iter_mut()) {
+            *f |= neighbor.binary_search(k).is_ok();
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -326,6 +353,76 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(seed);
         let tree = gen::balanced_binary(7, 4000, SizeDist::Uniform, &mut rng);
         CoopStructure::preprocess(tree, ParamMode::Auto)
+    }
+
+    thread_local! {
+        // Comparisons (`cmp` and `==`) made through `Counted` keys on
+        // this thread.
+        static COMPARISONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
+
+    /// An `i64` key that counts every comparison made on it.
+    #[derive(Debug, Clone, Copy)]
+    struct Counted(i64);
+
+    fn tick() {
+        COMPARISONS.with(|c| c.set(c.get() + 1));
+    }
+
+    impl PartialEq for Counted {
+        fn eq(&self, other: &Self) -> bool {
+            tick();
+            self.0 == other.0
+        }
+    }
+
+    impl Eq for Counted {}
+
+    impl PartialOrd for Counted {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    impl Ord for Counted {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            tick();
+            self.0.cmp(&other.0)
+        }
+    }
+
+    impl CatalogKey for Counted {
+        const SUPREMUM: Self = Counted(i64::MAX);
+    }
+
+    /// The audit's key comparisons stay within `2 · W · log2 W` for `W`
+    /// scanned words, on thin (height 12) and fat (height 6) trees alike:
+    /// every membership test is a merge or a binary search, never a scan
+    /// of a neighbor catalog per entry.
+    #[test]
+    fn audit_comparisons_are_quasilinear_in_words() {
+        for (height, total) in [(6, 20_000), (6, 80_000), (12, 20_000), (12, 80_000)] {
+            let mut rng = SmallRng::seed_from_u64(23);
+            let tree = gen::balanced_binary(height, total, SizeDist::Uniform, &mut rng);
+            let parents = tree.ids().map(|id| tree.parent(id).map(|p| p.0)).collect();
+            let catalogs = tree
+                .ids()
+                .map(|id| tree.catalog(id).iter().map(|&k| Counted(k)).collect())
+                .collect();
+            let tree = fc_catalog::CatalogTree::from_parents(parents, catalogs);
+            let st = CoopStructure::preprocess(tree, ParamMode::Auto);
+            COMPARISONS.with(|c| c.set(0));
+            let report = audit(&st);
+            let comparisons = COMPARISONS.with(|c| c.get());
+            assert!(report.is_clean(), "height {height}: {:?}", report.findings);
+            let words = report.words_scanned as f64;
+            let bound = 2.0 * words * words.log2();
+            assert!(
+                (comparisons as f64) <= bound,
+                "height {height}, {total} keys: {comparisons} comparisons for {words} words \
+                 exceed 2 · W · log2 W = {bound:.0}"
+            );
+        }
     }
 
     #[test]

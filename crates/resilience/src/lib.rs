@@ -12,10 +12,10 @@
 //!   perturbation, and killing virtual processors at chosen PRAM rounds.
 //!   Every structural fault is **detectable by construction** — each kind
 //!   provably violates an audited invariant.
-//! * [`audit`](crate::audit::audit) — a linear-time self-check that
-//!   re-derives every redundant field (rows, bridges, skeleton keys) from
-//!   its defining equation and returns a localized [`BlameReport`], never a
-//!   panic.
+//! * [`audit`](crate::audit::audit) — an `O(W log W)` self-check over the
+//!   `W` words it scans that re-derives every redundant field (rows,
+//!   bridges, skeleton keys) from its defining equation and returns a
+//!   localized [`BlameReport`], never a panic.
 //! * [`repair`](crate::repair::repair) — a blame-driven fixpoint that
 //!   restores validity by rewriting only the flagged catalogs, rows, and
 //!   skeleton units, falling back to a full rebuild only when localized

@@ -38,7 +38,6 @@
 #![warn(missing_docs)]
 
 pub mod backoff;
-pub mod durable;
 pub mod epoch;
 pub mod error;
 pub mod quarantine;
@@ -47,7 +46,6 @@ pub mod service;
 mod worker;
 
 pub use backoff::DecorrelatedJitter;
-pub use durable::DurableService;
 pub use epoch::EpochPtr;
 pub use error::ServeError;
 pub use quarantine::{BreakerState, Quarantine};

@@ -34,7 +34,7 @@ use crate::queue::{AdmissionQueue, PushError};
 use crate::worker;
 use fc_catalog::{CatalogKey, CatalogTree, NodeId};
 use fc_coop::dynamic::{DynamicCoop, GenStats, UpdateOp};
-use fc_coop::{CoopStructure, ParamMode};
+use fc_coop::{CoopStructure, DynConfig, ParamMode};
 use fc_pram::{Model, Pram};
 use fc_resilience::{audit, repair, Blame, FaultPlan, FaultSpec};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
@@ -98,8 +98,10 @@ const CLOSE_AFTER: u64 = 4;
 pub struct Generation<K: CatalogKey> {
     /// Monotone publish id (0 = the generation cut at [`Service::start`]).
     pub id: u64,
-    /// The static cooperative structure queries run against.
-    pub st: CoopStructure<K>,
+    /// The static cooperative structure queries run against, shared with
+    /// the writer that built it (and, for generation 0, with the peer
+    /// replicas started on the same structure).
+    pub st: Arc<CoopStructure<K>>,
 }
 
 /// A successful query.
@@ -282,15 +284,34 @@ impl<K: CatalogKey> Service<K> {
     /// Preprocess `tree`, publish generation 0, and spawn the worker pool
     /// and the auditor.
     pub fn start(tree: CatalogTree<K>, mode: ParamMode, cfg: ServeConfig) -> Self {
+        Self::from_structure(
+            Arc::new(CoopStructure::preprocess(tree, mode)),
+            0,
+            mode,
+            cfg,
+        )
+    }
+
+    /// Serve an already preprocessed structure: the writer and
+    /// generation 0 share `st` (no copy), so replicas started on one
+    /// `Arc` hold one structure between them until their first rebuild.
+    /// `generation` is the logical generation that produced `st` (0 for a
+    /// fresh tree; a recovered structure's generation on cold start), and
+    /// [`Service::gen_stats`] counts on from it.
+    pub fn from_structure(
+        st: Arc<CoopStructure<K>>,
+        generation: u64,
+        mode: ParamMode,
+        cfg: ServeConfig,
+    ) -> Self {
         let frac = cfg.rebuild_frac.max(f64::MIN_POSITIVE);
-        let dy = if cfg.incremental {
-            DynamicCoop::new_incremental(tree, mode, frac)
-        } else {
-            DynamicCoop::new(tree, mode, frac)
-        };
+        let mut dy = DynamicCoop::wrap(st, generation, mode, frac);
+        if cfg.incremental {
+            dy = dy.into_incremental(DynConfig::default());
+        }
         let gen0 = Arc::new(Generation {
             id: 0,
-            st: dy.structure().clone(),
+            st: Arc::clone(dy.structure()),
         });
         // Slot layout: [0, workers) = query workers, then auditor, then one
         // externally lockable slot for Service::snapshot/audit_blocking.
@@ -540,13 +561,15 @@ impl<K: CatalogKey> Drop for Service<K> {
     }
 }
 
-/// Cut a snapshot of the writer's structure and publish it. Caller holds
-/// the writer lock; readers are unaffected (one atomic swap).
+/// Publish the writer's structure: the new generation shares the writer's
+/// `Arc` (no copy; a later repair or fault injection copies before it
+/// writes). Caller holds the writer lock; readers are unaffected (one
+/// atomic swap).
 pub(crate) fn publish_locked<K: CatalogKey>(shared: &Shared<K>, w: &mut Writer<K>) {
     w.next_gen += 1;
     let gen = Arc::new(Generation {
         id: w.next_gen,
-        st: w.dy.structure().clone(),
+        st: Arc::clone(w.dy.structure()),
     });
     shared.epoch.swap(gen);
     shared.stats.generations_published.fetch_add(1, SeqCst);

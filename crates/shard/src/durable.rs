@@ -17,18 +17,19 @@
 //! shape: [`DurableCluster::split_durable`] checkpoints every shard into
 //! a fresh `epoch-<e+1>/` directory *before* committing the manifest, so
 //! a crash mid-split recovers the old epoch with the old table — never a
-//! half-split cluster. Update durability follows the same write-ahead
-//! contract as `fc_serve::DurableService`: each batch is routed per
-//! shard, appended (fsynced) to the owning shard's WAL, and only then
-//! applied to the in-memory replicas — an acknowledged
-//! [`DurableCluster::update_batch`] is durable when it returns.
+//! half-split cluster. Update durability follows a write-ahead
+//! contract: each batch is routed per shard, appended (fsynced) to the
+//! owning shard's WAL, and only then applied to the in-memory replicas —
+//! an acknowledged [`DurableCluster::update_batch`] is durable when it
+//! returns.
 //!
 //! Cold start ([`DurableCluster::cold_start`]) reads the manifest,
 //! restores the [`RoutingTable`] at its persisted version (staleness
 //! detection survives restarts), runs `fc_store::recover` per shard —
 //! snapshot + WAL replay + blame audit, refusing with a typed
-//! [`StoreError`] if any shard cannot be proven clean — and rebuilds
-//! every replica group from the recovered trees.
+//! [`StoreError`] if any shard cannot be proven clean — and starts every
+//! shard's replicas on the very structure recovery audited, counting
+//! generations on from the recovered one.
 //!
 //! Durability covers updates and splits routed through this wrapper;
 //! calling [`ShardCluster::update_batch`] or
@@ -39,12 +40,12 @@ use crate::partition::RoutingTable;
 use crate::router::{ShardCluster, ShardConfig, ShardStats};
 use fc_catalog::{CatalogKey, CatalogTree};
 use fc_coop::dynamic::UpdateOp;
-use fc_coop::ParamMode;
+use fc_coop::{CoopStructure, ParamMode};
 use fc_store::manifest::{epoch_dir, shard_dir};
 use fc_store::{read_manifest, write_manifest, KeyCodec, Manifest, Store, StoreConfig, StoreError};
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// What a cold start recovered, summed over the shards.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -158,7 +159,9 @@ impl<K: CatalogKey + KeyCodec> DurableCluster<K> {
     /// table at its persisted version, recover every shard store
     /// (snapshot + WAL replay + blame audit — any shard that cannot be
     /// proven clean refuses the whole cold start with a typed error),
-    /// and rebuild the replica groups from the recovered trees.
+    /// and start each shard's replicas on its recovered, audited
+    /// structure. Recovery preprocesses with [`ParamMode::Auto`]; `mode`
+    /// governs the replicas' later rebuilds.
     pub fn cold_start(
         dir: &Path,
         mode: ParamMode,
@@ -175,8 +178,7 @@ impl<K: CatalogKey + KeyCodec> DurableCluster<K> {
             shards: m.shards(),
             ..ColdStartReport::default()
         };
-        let mut trees: Vec<CatalogTree<K>> = Vec::with_capacity(m.shards());
-        let mut recovered_gens: Vec<u64> = Vec::with_capacity(m.shards());
+        let mut shards: Vec<(Arc<CoopStructure<K>>, u64)> = Vec::with_capacity(m.shards());
         for shard in 0..m.shards() {
             let rec = fc_store::recover::<K>(&shard_dir(&edir, shard))?;
             report.replayed_records += rec.replayed_records;
@@ -185,18 +187,17 @@ impl<K: CatalogKey + KeyCodec> DurableCluster<K> {
             report.truncated_bytes += rec.truncated_bytes;
             report.snapshots_skipped += rec.snapshots_skipped;
             report.rebuild_markers += rec.rebuild_markers;
-            trees.push(rec.tree);
-            recovered_gens.push(rec.generation);
+            shards.push((rec.structure, rec.generation));
         }
-        let cluster = ShardCluster::start_with_table(table, &trees, mode, cfg)
+        let cluster = ShardCluster::start_with_table(table, &shards, mode, cfg)
             .ok_or_else(|| invalid("recovered shard count does not match the routing table"))?;
         // Re-persist each recovered shard so the next recovery starts
         // from one snapshot instead of snapshot + long log, then drop
         // what those snapshots cover.
-        let mut stores = Vec::with_capacity(trees.len());
-        for (shard, (tree, generation)) in trees.iter().zip(&recovered_gens).enumerate() {
+        let mut stores = Vec::with_capacity(shards.len());
+        for (shard, (st, generation)) in shards.iter().enumerate() {
             let store = Store::open(&shard_dir(&edir, shard), store_cfg)?;
-            store.persist_snapshot(tree, *generation)?;
+            store.persist_snapshot(st.tree(), *generation)?;
             store.prune()?;
             stores.push(store);
         }

@@ -5,7 +5,8 @@
 //! contiguous ranges by a versioned [`RoutingTable`]; each range is owned
 //! by a shard, and each shard is a [`ReplicaSet`] of independent
 //! `fc_serve::Service` instances (own workers, auditor, quarantine
-//! breaker, generation chain). On top sit:
+//! breaker, generation chain) started on one shared, copy-on-write
+//! preprocessed structure. On top sit:
 //!
 //! * [`ShardCluster::query_blocking`] — owner-shard routing with replica
 //!   failover and ascending *escalation* for path nodes whose owner-shard

@@ -35,7 +35,7 @@ use crate::partition::RoutingTable;
 use crate::replica::ReplicaSet;
 use fc_catalog::{CatalogKey, CatalogTree, FcError, NodeId};
 use fc_coop::dynamic::UpdateOp;
-use fc_coop::{certified_descent, CancelToken, ParamMode};
+use fc_coop::{certified_descent, CancelToken, CoopStructure, ParamMode};
 use fc_resilience::{shard_seed, FaultPlan, FaultSpec};
 use fc_retrieval::{merge_shard_reports, MergedReport, RangeList, ReportRange};
 use fc_serve::{BreakerState, EpochPtr};
@@ -225,10 +225,10 @@ pub struct ShardCluster<K: CatalogKey> {
     mode: ParamMode,
 }
 
-/// Build the replica group for one shard: every replica preprocesses its
-/// own copy of the tree with catalogs filtered to the shard's key range
-/// (the tree *shape* — parents, node ids, paths — is identical across
-/// shards, so a leaf names the same path everywhere).
+/// Build the replica group for one shard: filter the tree's catalogs to
+/// the shard's key range (the tree *shape* — parents, node ids, paths — is
+/// identical across shards, so a leaf names the same path everywhere),
+/// preprocess the result once, and start every replica on it.
 pub(crate) fn build_group<K: CatalogKey>(
     tree: &CatalogTree<K>,
     table: &RoutingTable<K>,
@@ -249,15 +249,19 @@ pub(crate) fn build_group<K: CatalogKey>(
         })
         .collect();
     let sub = CatalogTree::from_parents(parents, catalogs);
-    build_group_from_tree(&sub, shard, mode, cfg)
+    let st = Arc::new(CoopStructure::preprocess(sub, mode));
+    build_group_from_structure(&st, 0, shard, mode, cfg)
 }
 
-/// Build the replica group for one shard from an *already filtered*
-/// per-shard tree — the cold-start path: a recovered shard snapshot is
-/// the filtered tree itself, so no refiltering against the routing table
-/// is needed (or possible: the full tree no longer exists on disk).
-pub(crate) fn build_group_from_tree<K: CatalogKey>(
-    sub: &CatalogTree<K>,
+/// Start the replica group for one shard on one preprocessed structure of
+/// the shard's filtered tree, at logical generation `generation`: every
+/// replica shares `st` (one `Arc::clone` each, no copy) until its own
+/// first rebuild, and a repair or fault injection on one replica copies
+/// before it writes, so it never reaches a peer. The cold-start path
+/// passes the structure recovery audited.
+pub(crate) fn build_group_from_structure<K: CatalogKey>(
+    st: &Arc<CoopStructure<K>>,
+    generation: u64,
     shard: usize,
     mode: ParamMode,
     cfg: &ShardConfig,
@@ -266,7 +270,7 @@ pub(crate) fn build_group_from_tree<K: CatalogKey>(
         .map(|r| {
             let mut scfg = cfg.serve.clone();
             scfg.seed = shard_seed(cfg.serve.seed, shard, r);
-            Service::start(sub.clone(), mode, scfg)
+            Service::from_structure(Arc::clone(st), generation, mode, scfg)
         })
         .collect();
     ReplicaSet::new(replicas)
@@ -308,24 +312,35 @@ impl<K: CatalogKey> ShardCluster<K> {
         }
     }
 
-    /// Start a cluster from a *restored* routing table and one
-    /// already-filtered tree per shard — the cold-start path
-    /// (`fc_store` recovery hands back exactly these). Returns `None`
-    /// when the tree count does not match the table's shard count, which
-    /// a caller must treat as a corrupt manifest, not a servable state.
+    /// Start a cluster from a *restored* routing table and, per shard, one
+    /// preprocessed structure of its filtered tree with that structure's
+    /// logical generation — the cold-start path (`fc_store::recover`
+    /// hands back exactly these, audited). Each shard's replicas serve
+    /// the given structure itself and count generations on from the
+    /// given one. Returns `None` when the shard count does not match the
+    /// table's, which a caller must treat as a corrupt manifest, not a
+    /// servable state.
     pub fn start_with_table(
         table: RoutingTable<K>,
-        shard_trees: &[CatalogTree<K>],
+        shards: &[(Arc<CoopStructure<K>>, u64)],
         mode: ParamMode,
         cfg: ShardConfig,
     ) -> Option<Self> {
-        if shard_trees.len() != table.shards() {
+        if shards.len() != table.shards() {
             return None;
         }
-        let groups = shard_trees
+        let groups = shards
             .iter()
             .enumerate()
-            .map(|(shard, sub)| Arc::new(build_group_from_tree(sub, shard, mode, &cfg)))
+            .map(|(shard, (st, generation))| {
+                Arc::new(build_group_from_structure(
+                    st,
+                    *generation,
+                    shard,
+                    mode,
+                    &cfg,
+                ))
+            })
             .collect();
         let state = Arc::new(ClusterState { table, groups });
         Some(ShardCluster {

@@ -7,14 +7,16 @@
 //! checksummed [`snapshot`], logs every buffered
 //! [`UpdateOp`](fc_coop::dynamic::UpdateOp) batch through a CRC-framed
 //! [`wal`] *before* the in-memory structure sees it, and on restart
-//! [`recover`](recover())s by replaying the log into a fresh generation and
-//! refusing — with a typed [`StoreError`] — to serve anything the
-//! `fc-resilience` blame audit cannot prove clean.
+//! [`recover`](recover())s by replaying the log into a fresh generation,
+//! handing back the audited structure itself, and refusing — with a typed
+//! [`StoreError`] — to serve anything the `fc-resilience` blame audit
+//! cannot prove clean.
 //!
 //! The pieces:
 //!
 //! * [`Store`] — one directory of `snap-*.fcs` + `wal-*.fcw` files with an
-//!   append/persist/prune API (`fc-serve`'s `DurableService` wraps it).
+//!   append/persist/prune API (`fc-shard`'s `DurableCluster` keeps one
+//!   per shard).
 //! * [`recover()`] — the crash-recovery state machine: newest valid
 //!   snapshot → ordered idempotent replay → forced rebuild → audit.
 //! * [`manifest`] — the cluster commit point: routing-table version and

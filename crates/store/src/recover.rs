@@ -17,7 +17,9 @@
 //!    then run the buffer audit and the structural blame audit from
 //!    `fc-resilience`. Any dirt is a typed
 //!    [`StoreError::RecoveryAudit`] — the store never serves a structure
-//!    it cannot prove clean.
+//!    it cannot prove clean. A clean result hands back the audited
+//!    structure itself ([`Recovered::structure`]), so a caller serves
+//!    exactly what was audited instead of preprocessing its own copy.
 //!
 //! This file is in the `cargo xtask lint` panic-free/index-free scope up
 //! to its tests.
@@ -26,30 +28,33 @@ use crate::codec::KeyCodec;
 use crate::error::StoreError;
 use crate::snapshot;
 use crate::wal;
-use fc_catalog::{CatalogKey, CatalogTree};
+use fc_catalog::CatalogKey;
 use fc_coop::dynamic::{DynamicCoop, UpdateOp};
-use fc_coop::ParamMode;
+use fc_coop::{CoopStructure, ParamMode};
 use fc_pram::{Model, Pram};
 use std::path::Path;
+use std::sync::Arc;
 
 /// Processor count for the replay-time rebuild PRAM; recovery is offline,
 /// so this only shapes the simulated schedule, not wall-clock work.
 const REPLAY_PROCS: usize = 1 << 10;
 
-/// A successful recovery: the audited-clean tree plus provenance counters
-/// for observability (and the recovery-time benchmark).
+/// A successful recovery: the audited-clean structure plus provenance
+/// counters for observability (and the recovery-time benchmark).
 #[derive(Debug, Clone)]
 pub struct Recovered<K: CatalogKey> {
-    /// The recovered catalog tree, drained and audit-clean.
-    pub tree: CatalogTree<K>,
-    /// Logical `DynamicCoop` generation after replay (snapshot generation
-    /// plus one per rebuild the replay triggered).
+    /// The recovered structure (preprocessed with [`ParamMode::Auto`]),
+    /// drained and audit-clean; its `tree()` is the recovered catalog
+    /// tree.
+    pub structure: Arc<CoopStructure<K>>,
+    /// Logical generation of [`Recovered::structure`]: the snapshot's
+    /// generation plus one per rebuild recovery ran.
     pub generation: u64,
     /// Id of the snapshot recovery started from.
     pub snapshot_id: u64,
     /// That snapshot's WAL watermark.
     pub wal_watermark: u64,
-    /// Highest WAL sequence number reflected in [`Recovered::tree`].
+    /// Highest WAL sequence number reflected in [`Recovered::structure`].
     pub last_seq: u64,
     /// WAL records replayed.
     pub replayed_records: u64,
@@ -68,8 +73,8 @@ pub struct Recovered<K: CatalogKey> {
     pub rebuild_markers: u64,
 }
 
-/// Recover the store in `dir` to an audited-clean tree, or refuse with a
-/// typed error (see the module docs for the state machine).
+/// Recover the store in `dir` to an audited-clean structure, or refuse
+/// with a typed error (see the module docs for the state machine).
 pub fn recover<K: CatalogKey + KeyCodec>(dir: &Path) -> Result<Recovered<K>, StoreError> {
     let (snapshot_id, data, snapshots_skipped) = snapshot::load_newest_valid::<K>(dir)?;
     let wal_watermark = data.wal_watermark;
@@ -77,7 +82,8 @@ pub fn recover<K: CatalogKey + KeyCodec>(dir: &Path) -> Result<Recovered<K>, Sto
     // An infinite rebuild fraction defers every rebuild to the explicit
     // force_rebuild below, so replay cost is one rebuild, not one per
     // buffered fraction — the WAL-vs-rebuild trade DESIGN.md §12 discusses.
-    let mut dy = DynamicCoop::new(data.tree, ParamMode::Auto, f64::INFINITY);
+    let st = Arc::new(CoopStructure::preprocess(data.tree, ParamMode::Auto));
+    let mut dy = DynamicCoop::wrap(st, data.logical_gen, ParamMode::Auto, f64::INFINITY);
     let mut pram = Pram::new(REPLAY_PROCS, Model::Crew);
     let stats = wal::replay::<K, _>(dir, wal_watermark, |seq, entry| {
         let ops = match entry {
@@ -124,7 +130,7 @@ pub fn recover<K: CatalogKey + KeyCodec>(dir: &Path) -> Result<Recovered<K>, Sto
         });
     }
     Ok(Recovered {
-        tree: dy.structure().tree().clone(),
+        structure: Arc::clone(dy.structure()),
         generation: gen_stats.generation,
         snapshot_id,
         wal_watermark,
@@ -143,7 +149,7 @@ mod tests {
     use super::*;
     use crate::store::{Store, StoreConfig};
     use fc_catalog::gen::{self, SizeDist};
-    use fc_catalog::NodeId;
+    use fc_catalog::{CatalogTree, NodeId};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     use std::fs;
@@ -214,7 +220,10 @@ mod tests {
         assert_eq!(rec.replayed_records, 12);
         assert_eq!(rec.replayed_ops, 36);
         assert_eq!(rec.last_seq, 12);
-        assert!(trees_equal(&rec.tree, &oracle(&t, &bs)), "replay == oracle");
+        assert!(
+            trees_equal(rec.structure.tree(), &oracle(&t, &bs)),
+            "replay == oracle"
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -238,7 +247,8 @@ mod tests {
         let rec = recover::<i64>(&dir).unwrap();
         assert_eq!(rec.wal_watermark, 5);
         assert_eq!(rec.replayed_records, 5, "only post-watermark records");
-        assert!(trees_equal(&rec.tree, &oracle(&t, &bs)));
+        assert_eq!(rec.generation, 2, "snapshot generation 1 plus one rebuild");
+        assert!(trees_equal(rec.structure.tree(), &oracle(&t, &bs)));
         let _ = fs::remove_dir_all(&dir);
     }
 

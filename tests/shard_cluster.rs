@@ -11,15 +11,20 @@
 //!    and audits repair, probes of every shard range must answer `Ok`.
 //! 3. **Routing hot-swap**: the split publishes `version + 1` and queries
 //!    keep answering across it.
+//!
+//! Beside the storm: the replicas of a shard start on one shared
+//! preprocessed structure (at start, after a split, after a cold start),
+//! and a fault injected into one replica never reaches its peer.
 
 use fc_catalog::{CatalogKey, NodeId};
 use fc_coop::dynamic::UpdateOp;
-use fc_coop::CoopStructure;
-use fc_resilience::FaultSpec;
+use fc_coop::{CoopStructure, ParamMode};
+use fc_resilience::{audit, FaultSpec};
 use fc_serve::ServeConfig;
-use fc_shard::{ShardCluster, ShardConfig, ShardedOk};
+use fc_shard::{DurableCluster, ShardCluster, ShardConfig, ShardedOk, StoreConfig};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 use std::time::Duration;
 
 fn oracle<K: CatalogKey>(st: &CoopStructure<K>, path: &[NodeId], y: K) -> Vec<Option<K>> {
@@ -283,4 +288,139 @@ fn concurrent_clients_survive_split_and_quarantine() {
     }
     let stats = cluster.shutdown();
     assert_eq!(stats.splits, 1);
+}
+
+/// A quiet cluster shape for the sharing tests: background audits off,
+/// one worker per replica.
+fn quiet_cfg(shards: usize) -> ShardConfig {
+    ShardConfig {
+        shards,
+        replicas: 2,
+        serve: ServeConfig {
+            workers: 1,
+            audit_interval: Duration::from_secs(3600),
+            default_deadline: Duration::from_secs(5),
+            processors: 1 << 8,
+            ..ServeConfig::default()
+        },
+        batch_threads: 2,
+        default_deadline: Duration::from_secs(10),
+    }
+}
+
+/// Every shard's replicas publish generation 0 on one shared structure.
+fn assert_replicas_share_one_structure(cluster: &ShardCluster<i64>, when: &str) {
+    let state = cluster.state();
+    for (shard, group) in state.groups.iter().enumerate() {
+        assert_eq!(group.len(), 2, "{when}: shard {shard} replica count");
+        let first = group.replica(0).expect("replica 0").snapshot();
+        let second = group.replica(1).expect("replica 1").snapshot();
+        assert_eq!((first.id, second.id), (0, 0), "{when}: shard {shard}");
+        assert!(
+            Arc::ptr_eq(&first.st, &second.st),
+            "{when}: shard {shard}'s replicas preprocessed separate structures"
+        );
+    }
+}
+
+#[test]
+fn replicas_share_one_structure_at_start_split_and_cold_start() {
+    let mut rng = SmallRng::seed_from_u64(0x000C_1A09);
+    let tree =
+        fc_catalog::gen::balanced_binary(5, 1500, fc_catalog::gen::SizeDist::Uniform, &mut rng);
+    let cluster = ShardCluster::start(&tree, ParamMode::Auto, quiet_cfg(3));
+    assert_replicas_share_one_structure(&cluster, "start");
+    assert_eq!(cluster.split_shard(1), Some(2), "split publishes version 2");
+    assert_replicas_share_one_structure(&cluster, "split");
+    cluster.shutdown();
+
+    let dir = std::env::temp_dir().join(format!("fc-shard-share-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let no_fsync = StoreConfig {
+        fsync: false,
+        ..StoreConfig::default()
+    };
+    let dc = DurableCluster::create(&dir, &tree, ParamMode::Auto, quiet_cfg(3), no_fsync)
+        .expect("create");
+    let leaf = dc.cluster().leaves()[0];
+    let node = tree.path_from_root(leaf)[1];
+    // An unsnapshotted tail, so recovery replays and rebuilds.
+    for k in 0..10 {
+        dc.update_batch(&[UpdateOp::Insert(node, 40_000_000 + k)])
+            .expect("durable update");
+    }
+    drop(dc);
+    let (dc, rep) =
+        DurableCluster::<i64>::cold_start(&dir, ParamMode::Auto, quiet_cfg(3), no_fsync)
+            .expect("cold start");
+    assert_eq!(rep.replayed_records, 10);
+    assert_replicas_share_one_structure(dc.cluster(), "cold start");
+    dc.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Copy on write: a fault injected into (and then repaired on) one
+/// replica never reaches its peer, nor any generation already published.
+#[test]
+fn fault_on_one_replica_never_reaches_its_peer() {
+    let mut rng = SmallRng::seed_from_u64(0x000C_1A0B);
+    let tree =
+        fc_catalog::gen::balanced_binary(6, 3000, fc_catalog::gen::SizeDist::Uniform, &mut rng);
+    let cluster = ShardCluster::start(&tree, ParamMode::Auto, quiet_cfg(3));
+    let shard = 1;
+    let state = cluster.state();
+    let group = Arc::clone(&state.groups[shard]);
+    let (lo, hi) = state.table.range_of(shard);
+    let (lo, hi) = (lo.copied(), hi.copied());
+    drop(state);
+    let peer = group.replica(1).expect("replica 1");
+    let shared = peer.snapshot();
+    assert!(audit(&shared.st).is_clean());
+
+    let plan = cluster
+        .inject(shard, 0, &FaultSpec::one_of_each(), 0x5EED)
+        .expect("valid address");
+    assert!(plan.structural_len() > 0);
+    let corrupted = group.replica(0).expect("replica 0").snapshot();
+    assert!(corrupted.id > 0, "the fault was published on replica 0");
+    assert!(!audit(&corrupted.st).is_clean(), "replica 0 audits dirty");
+    let served = peer.snapshot();
+    assert!(
+        Arc::ptr_eq(&served.st, &shared.st),
+        "the peer still serves its original structure"
+    );
+    assert!(audit(&served.st).is_clean(), "the fault reached the peer");
+
+    // The peer answers exactly the shard-filtered oracle.
+    let in_shard = |k: &i64| lo.is_none_or(|l| l <= *k) && hi.is_none_or(|h| *k < h);
+    let leaves = tree.leaves();
+    for _ in 0..200 {
+        let leaf = leaves[rng.gen_range(0..leaves.len())];
+        let y = rng.gen_range(-100..30_000i64);
+        let ok = peer.query_blocking(leaf, y, None).expect("peer answers");
+        let want: Vec<Option<i64>> = tree
+            .path_from_root(leaf)
+            .iter()
+            .map(|&n| {
+                tree.catalog(n)
+                    .iter()
+                    .copied()
+                    .find(|k| *k >= y && in_shard(k))
+            })
+            .collect();
+        assert_eq!(ok.answers, want, "peer answer at y={y}");
+    }
+
+    // Repairing replica 0 copies too: the corrupted generation it had
+    // published stays as it was for readers still pinning it.
+    assert!(group.replica(0).expect("replica 0").audit_blocking());
+    let repaired = group.replica(0).expect("replica 0").snapshot();
+    assert!(audit(&repaired.st).is_clean(), "repair republished clean");
+    assert!(
+        !audit(&corrupted.st).is_clean(),
+        "repair wrote into a published generation"
+    );
+    assert!(Arc::ptr_eq(&peer.snapshot().st, &shared.st));
+    drop(group);
+    cluster.shutdown();
 }

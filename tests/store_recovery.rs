@@ -29,7 +29,7 @@ use fc_coop::ParamMode;
 use fc_serve::ServeConfig;
 use fc_shard::{DurableCluster, ShardConfig};
 use fc_store::manifest::{epoch_dir, shard_dir};
-use fc_store::{fault, StoreConfig, StoreError};
+use fc_store::{fault, load_newest_valid, Store, StoreConfig, StoreError};
 use std::collections::HashMap;
 use std::fs;
 use std::path::PathBuf;
@@ -363,5 +363,103 @@ fn missing_middle_segment_is_typed() {
         matches!(res, Err(StoreError::MissingSegment { .. })),
         "a WAL hole must be a typed refusal"
     );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Each shard's newest valid snapshot's logical generation, in shard order.
+fn newest_generations(dir: &std::path::Path, epoch: u64, shards: usize) -> Vec<u64> {
+    (0..shards)
+        .map(|shard| {
+            let (_, data, _) = load_newest_valid::<i64>(&shard_dir(&epoch_dir(dir, epoch), shard))
+                .expect("a valid snapshot");
+            data.logical_gen
+        })
+        .collect()
+}
+
+/// The logical generation a shard persists only moves forward, across a
+/// cold start too: recovery resumes from the snapshot's generation, and
+/// the restarted replicas count on from the recovered one.
+#[test]
+fn logical_generation_increases_across_cold_start() {
+    let dir = tmp("generation");
+    let tree = crash_tree();
+    let dc = DurableCluster::create(&dir, &tree, ParamMode::Auto, cfg(2, 2), no_fsync()).unwrap();
+    for _ in 0..3 {
+        dc.checkpoint().unwrap();
+    }
+    let before = newest_generations(&dir, 1, 2);
+    assert_eq!(before, vec![3, 3], "three checkpoints, one rebuild each");
+    dc.shutdown();
+
+    let (dc, _) =
+        DurableCluster::<i64>::cold_start(&dir, ParamMode::Auto, cfg(2, 2), no_fsync()).unwrap();
+    let recovered = newest_generations(&dir, 1, 2);
+    dc.checkpoint().unwrap();
+    let after = newest_generations(&dir, 1, 2);
+    for shard in 0..2 {
+        assert!(
+            before[shard] < recovered[shard] && recovered[shard] < after[shard],
+            "shard {shard}: logical generation went {} -> {} -> {}",
+            before[shard],
+            recovered[shard],
+            after[shard]
+        );
+    }
+    dc.shutdown();
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A checkpoint's snapshots watermark the whole log, its rebuild markers
+/// included: a cold start right after it replays nothing.
+#[test]
+fn cold_start_after_checkpoint_replays_nothing() {
+    let dir = tmp("checkpointed");
+    let tree = crash_tree();
+    let dc = DurableCluster::create(&dir, &tree, ParamMode::Auto, cfg(2, 1), no_fsync()).unwrap();
+    let leaf = dc.cluster().leaves()[0];
+    let node = tree.path_from_root(leaf)[1];
+    for k in 0..20 {
+        dc.update_batch(&[UpdateOp::Insert(node, 50_000_000 + k)])
+            .unwrap();
+    }
+    dc.checkpoint().unwrap();
+    dc.shutdown();
+    let (dc, rep) =
+        DurableCluster::<i64>::cold_start(&dir, ParamMode::Auto, cfg(2, 1), no_fsync()).unwrap();
+    assert_eq!(
+        rep.replayed_records, 0,
+        "the checkpoint covered every record"
+    );
+    assert_eq!(rep.rebuild_markers, 0, "and every rebuild marker");
+    for k in 0..20 {
+        let ok = dc
+            .cluster()
+            .query_blocking(leaf, 50_000_000 + k, None)
+            .unwrap();
+        assert_eq!(ok.answers[1], Some(50_000_000 + k), "checkpointed key {k}");
+    }
+    dc.shutdown();
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A rebuild marker logged after the newest snapshot (a crash between
+/// cutting an epoch and persisting its snapshot) replays as provenance,
+/// not as an error.
+#[test]
+fn uncovered_rebuild_marker_replays_as_provenance() {
+    let dir = tmp("marker");
+    let tree = crash_tree();
+    let dc = DurableCluster::create(&dir, &tree, ParamMode::Auto, cfg(2, 1), no_fsync()).unwrap();
+    dc.checkpoint().unwrap();
+    dc.shutdown();
+    let store = Store::<i64>::open(&shard_dir(&epoch_dir(&dir, 1), 0), no_fsync()).unwrap();
+    store.append_rebuild_marker(99).unwrap();
+    drop(store);
+    let (dc, rep) = DurableCluster::<i64>::cold_start(&dir, ParamMode::Auto, cfg(2, 1), no_fsync())
+        .unwrap_or_else(|e| panic!("an uncovered marker must not refuse the cold start: {e}"));
+    assert_eq!(rep.rebuild_markers, 1);
+    assert_eq!(rep.replayed_ops, 0, "a marker carries no ops");
+    dc.shutdown();
     let _ = fs::remove_dir_all(&dir);
 }
