@@ -636,7 +636,7 @@ impl<K: CatalogKey> DynamicCoop<K> {
     }
 
     /// Mutable static structure — repair hook for the serving layer's
-    /// auditor (quarantine → repair → republish) and for fault injection.
+    /// auditor (audit → repair → republish) and for fault injection.
     /// Copy on write: when a published generation or a peer replica still
     /// shares the structure, this wrapper first takes a private copy, so
     /// the write never reaches them. Not part of the stable API.

@@ -37,16 +37,14 @@
 //! * [`skeleton`] — units and compacted skeleton forests; Lemma 1 checker.
 //! * [`structure`] — [`CoopStructure`]: `S` + all substructures, space
 //!   accounting (Lemma 2).
-//! * [`explicit`] — explicit cooperative search (Section 2.2), plus
-//!   [`certified_descent`], the sequential fractional-cascading read with
-//!   an `O(1)` per-node certificate that the `fc-serve` workers and the
-//!   `fc-shard` batch legs run.
+//! * [`explicit`] — explicit cooperative search (Section 2.2), plain,
+//!   checked (typed errors on corrupt structures), and cancellable.
 //! * [`implicit`] — implicit cooperative search under the consistency
 //!   assumption (Section 2.3), with pluggable branch oracles.
 //! * [`general`] — long paths and degree-`d` trees (Section 2.4).
 //! * [`reach`] — `reach(c, U)` computation for the Figure 1/2 experiments.
 //! * [`cancel`] — cooperative cancellation tokens polled at descent steps
-//!   (deadline propagation for the `fc-serve` query service).
+//!   (deadline propagation into the cancellable explicit search).
 //! * [`batch`] — batched inter-query parallelism for the experiments.
 //! * [`dynamic`] — dynamic updates (open problem 4): buffered global
 //!   rebuilding with atomic batch drains and post-rebuild self-audit,
@@ -71,8 +69,8 @@ pub mod structure;
 pub use batch::{explicit_batch, explicit_batch_seq, implicit_batch};
 pub use cancel::CancelToken;
 pub use explicit::{
-    certified_descent, coop_search_explicit, coop_search_explicit_cancellable,
-    coop_search_explicit_checked, ExplicitSearchResult,
+    coop_search_explicit, coop_search_explicit_cancellable, coop_search_explicit_checked,
+    ExplicitSearchResult,
 };
 pub use implicit::{coop_search_implicit, Branch, BranchOracle, ConsistentLeafOracle};
 pub use params::{CoopParams, ParamMode};

@@ -59,7 +59,7 @@ pub use patch::{DynConfig, DynCounters, PatchLog, PatchReport, QueryReport};
 /// A typed structural error from the incremental cascade.
 ///
 /// Every variant names the node (arena index) where the suspicion arose,
-/// so the owner can target its fallback/quarantine. These are *detection*
+/// so the owner can target its fallback rebuild. These are *detection*
 /// results: the query or patch that produced one has not returned a
 /// wrong answer, and the structure is still safe to rebuild from (the
 /// arena itself, scanned flat, remains the authoritative key set).
@@ -132,7 +132,7 @@ pub enum DynError {
 }
 
 impl DynError {
-    /// The node this error points at, for quarantine targeting.
+    /// The node this error points at, for blame reporting.
     pub fn node(&self) -> u32 {
         match *self {
             DynError::NodeOutOfRange { node }

@@ -75,10 +75,6 @@ pub const STRICT_SCOPES: &[(&str, StrictScope)] = &[
         "crates/core/src/explicit.rs",
         StrictScope::Fn("audit_locate"),
     ),
-    (
-        "crates/core/src/explicit.rs",
-        StrictScope::Fn("certified_descent"),
-    ),
     ("crates/resilience/src/audit.rs", StrictScope::UntilTests),
     ("crates/resilience/src/repair.rs", StrictScope::UntilTests),
     ("crates/serve/src/worker.rs", StrictScope::UntilTests),
@@ -225,10 +221,7 @@ pub const HOT_FNS: &[(&str, &[&str])] = &[
         &["descend", "checked_descend"],
     ),
     ("crates/catalog/src/search.rs", &["search_path_fc"]),
-    (
-        "crates/core/src/explicit.rs",
-        &["search_explicit_inner", "certified_descent"],
-    ),
+    ("crates/core/src/explicit.rs", &["search_explicit_inner"]),
     ("crates/serve/src/worker.rs", &["execute"]),
     // PR 10: the per-key incremental update path — its whole point is
     // per-key-touched cost, so an allocation here is a design regression,

@@ -1,11 +1,10 @@
 //! The client side of the wire: a blocking request/reply connection plus
-//! a reconnecting retry wrapper reusing the serve layer's
-//! decorrelated-jitter backoff policy.
+//! a reconnecting retry wrapper with decorrelated-jitter backoff.
 
+use crate::backoff::DecorrelatedJitter;
 use crate::error::{NetError, WireError};
 use crate::proto::{self, Request, Response, WireAnswer};
 use fc_catalog::CatalogKey;
-use fc_serve::DecorrelatedJitter;
 use fc_store::KeyCodec;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
@@ -137,9 +136,9 @@ impl NetClient {
     }
 }
 
-/// Reconnect-and-retry policy over [`NetClient`], reusing the serve
-/// layer's decorrelated-jitter backoff so wire retries and in-process
-/// retries spread the same way.
+/// Reconnect-and-retry policy over [`NetClient`], with
+/// [`DecorrelatedJitter`] backoff so competing clients' retries spread
+/// apart.
 pub struct RetryClient {
     addr: SocketAddr,
     cfg: ClientConfig,

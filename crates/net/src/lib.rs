@@ -17,8 +17,8 @@
 //!   router's per-leg budgets, and graceful drain on SIGTERM / a wire
 //!   `Shutdown` frame.
 //! * [`client`] — [`client::NetClient`] (blocking request/reply) and
-//!   [`client::RetryClient`] (reconnect + `DecorrelatedJitter` backoff,
-//!   the same policy the serve layer retries with).
+//!   [`client::RetryClient`] (reconnect + [`backoff::DecorrelatedJitter`]
+//!   backoff).
 //! * [`fuzz`] — deterministic byte surgery over valid frames, in the
 //!   style of `fc_store::fault`; the ≥100k-mutant protocol-fuzz gate
 //!   (`tests/net_fuzz.rs`) and the multi-process loadgen gate
@@ -30,6 +30,7 @@
 
 #![warn(missing_docs)]
 
+pub mod backoff;
 pub mod client;
 pub mod error;
 pub mod fuzz;

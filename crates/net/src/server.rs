@@ -597,9 +597,10 @@ fn map_shard_error(e: &ShardError) -> (ErrorCode, String) {
 // Health / metrics.
 // ---------------------------------------------------------------------
 
-/// The plain-text `/health` report: ingress counters, then per-shard
-/// per-replica queue depth, shed counts, breaker state, and the same
-/// heat score the rebalancer uses to pick split candidates.
+/// The plain-text `/health` report: ingress counters, then per shard the
+/// heat score the rebalancer uses to pick split candidates and, per
+/// replica, queue depth, shed and admission counts, and the generation
+/// epoch.
 fn health_text<K>(cluster: &ShardCluster<K>, shared: &Shared) -> String
 where
     K: CatalogKey + KeyCodec,
@@ -655,15 +656,8 @@ where
         for (ri, h) in replicas.iter().enumerate() {
             let _ = writeln!(
                 s,
-                "shard {shard} replica {ri} breaker {:?} queue {}/{} shed {} \
-                 submitted {} quarantined_nodes {} epoch {}",
-                h.breaker,
-                h.queue_len,
-                h.queue_cap,
-                h.shed,
-                h.submitted,
-                h.quarantined_nodes,
-                h.epoch,
+                "shard {shard} replica {ri} queue {}/{} shed {} submitted {} epoch {}",
+                h.queue_len, h.queue_cap, h.shed, h.submitted, h.epoch,
             );
         }
     }

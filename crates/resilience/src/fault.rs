@@ -604,24 +604,6 @@ impl FaultPlan {
     }
 }
 
-/// Derive an independent fault-injection seed for one `(shard, replica)`
-/// cell of a cluster from a single base seed.
-///
-/// Chaos harnesses that drive many replicas from one configured seed must
-/// not hand adjacent cells adjacent seeds: `SmallRng` streams seeded with
-/// `base + i` are decorrelated, but the *plans* would still pick sites in
-/// suspiciously similar orders for small bases. This mixes the coordinates
-/// through a splitmix64 finalizer so every cell gets a well-spread 64-bit
-/// seed, deterministically per `(base, shard, replica)`.
-pub fn shard_seed(base: u64, shard: usize, replica: usize) -> u64 {
-    let mut z = base
-        .wrapping_add((shard as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15))
-        .wrapping_add((replica as u64).wrapping_mul(0xbf58_476d_1ce4_e5b9));
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -633,25 +615,6 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(seed);
         let tree = gen::balanced_binary(7, 4000, SizeDist::Uniform, &mut rng);
         CoopStructure::preprocess(tree, ParamMode::Auto)
-    }
-
-    #[test]
-    fn shard_seeds_are_deterministic_and_well_spread() {
-        assert_eq!(shard_seed(1, 2, 3), shard_seed(1, 2, 3));
-        let mut seen = std::collections::HashSet::new();
-        for base in 0..4u64 {
-            for shard in 0..8 {
-                for replica in 0..4 {
-                    assert!(
-                        seen.insert(shard_seed(base, shard, replica)),
-                        "collision at base={base} shard={shard} replica={replica}"
-                    );
-                }
-            }
-        }
-        // Adjacent cells must not yield adjacent seeds.
-        let d = shard_seed(0, 0, 0).abs_diff(shard_seed(0, 0, 1));
-        assert!(d > 1 << 20, "adjacent replicas too close: {d}");
     }
 
     #[test]

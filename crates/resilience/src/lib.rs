@@ -53,5 +53,5 @@ pub mod fault;
 pub mod repair;
 
 pub use audit::{audit, Blame, BlameReport};
-pub use fault::{shard_seed, Fault, FaultPlan, FaultSpec};
+pub use fault::{Fault, FaultPlan, FaultSpec};
 pub use repair::{audit_and_repair, repair, RepairStats};

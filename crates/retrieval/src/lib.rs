@@ -39,8 +39,5 @@ pub mod report;
 pub mod segint;
 
 pub use range2d::RangeTree2D;
-pub use report::{
-    charge_direct, charge_indirect, merge_shard_reports, MergedReport, RangeList, ReportRange,
-    ShardRange,
-};
+pub use report::{charge_direct, charge_indirect, RangeList, ReportRange};
 pub use segint::SegmentIntersection;

@@ -54,56 +54,6 @@ impl RangeList {
     }
 }
 
-/// A reported range tagged with the shard it came from — the unit of the
-/// scatter/gather merge (`fc-shard` splits a range query into per-shard
-/// sub-queries; each shard answers with a [`RangeList`] over *its own*
-/// structure, so the shard id is needed to dereference `node_idx`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardRange {
-    /// The shard whose structure `range` indexes into.
-    pub shard: u32,
-    /// The reported catalog range within that shard.
-    pub range: ReportRange,
-}
-
-/// The gathered cluster-level answer to a scattered range query: every
-/// shard's non-empty ranges, in ascending shard order (which is ascending
-/// key order, since shards partition the key universe contiguously).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct MergedReport {
-    /// Non-empty ranges in (shard, path) order.
-    pub ranges: Vec<ShardRange>,
-    /// Total reported items across all shards (`k`).
-    pub total: u64,
-    /// How many shard partials were merged (including empty ones).
-    pub parts: usize,
-}
-
-/// Merge per-shard partial results into one cluster-level report.
-///
-/// `parts` are `(shard, partial)` pairs; they are sorted by shard id so
-/// the merged range list is in global key order regardless of gather
-/// completion order. Empty partials still count toward
-/// [`MergedReport::parts`] (a shard that answered "nothing in range" is a
-/// completed leg, distinct from a shard that was never asked).
-pub fn merge_shard_reports(parts: impl IntoIterator<Item = (u32, RangeList)>) -> MergedReport {
-    let mut collected: Vec<(u32, RangeList)> = parts.into_iter().collect();
-    collected.sort_by_key(|&(shard, _)| shard);
-    let mut out = MergedReport {
-        parts: collected.len(),
-        ..MergedReport::default()
-    };
-    for (shard, list) in collected {
-        out.total += list.total;
-        out.ranges.extend(
-            list.ranges
-                .into_iter()
-                .map(|range| ShardRange { shard, range }),
-        );
-    }
-    out
-}
-
 /// Charge the direct-retrieval cost for reporting `k` items spread over
 /// `path_len` ranges: the prefix sum over the counts plus `ceil(k/p)`
 /// marking steps. Matches Theorem 6 part 1:
@@ -168,26 +118,6 @@ mod tests {
         ]);
         assert_eq!(list.ranges.len(), 2);
         assert_eq!(list.total, 10);
-    }
-
-    #[test]
-    fn shard_merge_orders_by_shard_and_sums_totals() {
-        let part = |node_idx, count| RangeList {
-            ranges: vec![ReportRange {
-                node_idx,
-                start: 0,
-                count,
-            }],
-            total: count as u64,
-        };
-        // Gather completion order is arbitrary — merge must re-sort.
-        let merged =
-            merge_shard_reports([(2, part(7, 4)), (0, part(3, 5)), (1, RangeList::default())]);
-        assert_eq!(merged.parts, 3, "empty partials still count as legs");
-        assert_eq!(merged.total, 9);
-        let order: Vec<u32> = merged.ranges.iter().map(|sr| sr.shard).collect();
-        assert_eq!(order, vec![0, 2], "global key order = ascending shard");
-        assert_eq!(merged.ranges[0].range.node_idx, 3);
     }
 
     #[test]

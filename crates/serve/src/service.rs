@@ -11,32 +11,30 @@
 //!   update callers and the auditor. A rebuild (threshold-triggered or
 //!   forced) cuts a new [`Generation`] snapshot and publishes it with one
 //!   atomic swap; in-flight queries drain on the generation they pinned.
-//! * **The auditor** wakes on a schedule (or on demand, when a worker's
-//!   checked search detects corruption), audits the *published* generation
-//!   plus the writer's buffers, quarantines blamed subtrees behind the
-//!   [`Quarantine`] circuit breaker, repairs the writer state in place
-//!   (localized, audit-guided), republishes, and half-opens the breaker so
-//!   probe queries can close it.
+//! * **The auditor** wakes on a schedule (or on demand via
+//!   [`Service::trigger_audit`]), audits the *published* generation plus
+//!   the writer's buffers, repairs the writer state in place (localized,
+//!   audit-guided), and republishes.
 //!
 //! ## Answer integrity
 //!
 //! The fault model treats native catalogs as authoritative; everything else
-//! is derived. A query answer is produced by `fc_coop::certified_descent`,
-//! which certifies every per-node answer against the native catalog in
-//! `O(1)`, so an `Ok` answer always equals the oracle answer *on the
-//! generation that served it* — corruption can cost latency (retries,
-//! degraded reads, quarantine), never silent wrongness.
+//! is derived. A worker answers with one `partition_point` per path node on
+//! the pinned generation's native catalogs — the sequential oracle itself —
+//! so an `Ok` answer always equals the oracle answer *on the generation
+//! that served it*, whatever derived data a fault has corrupted. The
+//! auditor still matters to clients through the update buffers: the next
+//! rebuild would bake a corrupted buffer into the catalogs.
 
 use crate::epoch::EpochPtr;
 use crate::error::ServeError;
-use crate::quarantine::{BreakerState, Quarantine};
 use crate::queue::{AdmissionQueue, PushError};
 use crate::worker;
 use fc_catalog::{CatalogKey, CatalogTree, NodeId};
 use fc_coop::dynamic::{DynamicCoop, GenStats, UpdateOp};
 use fc_coop::{CoopStructure, DynConfig, ParamMode};
 use fc_pram::{Model, Pram};
-use fc_resilience::{audit, repair, Blame, FaultPlan, FaultSpec};
+use fc_resilience::{audit, repair, FaultPlan, FaultSpec};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
@@ -56,9 +54,6 @@ pub struct ServeConfig {
     /// Virtual processors of the writer's PRAM cost meter, which prices
     /// rebuilds; queries do not read it.
     pub processors: usize,
-    /// Serve quarantined / persistently failing queries from the native
-    /// catalogs instead of erroring.
-    pub degraded_reads: bool,
     /// Rebuild threshold as a fraction of total catalog size (see
     /// [`DynamicCoop::new`]).
     pub rebuild_frac: f64,
@@ -68,8 +63,6 @@ pub struct ServeConfig {
     /// generations then only advance on fallback rebuilds (density
     /// violation, detected corruption) or explicit checkpoints.
     pub incremental: bool,
-    /// Seed for worker backoff jitter.
-    pub seed: u64,
 }
 
 impl Default for ServeConfig {
@@ -80,19 +73,11 @@ impl Default for ServeConfig {
             default_deadline: Duration::from_millis(250),
             audit_interval: Duration::from_millis(100),
             processors: 1 << 12,
-            degraded_reads: true,
             rebuild_frac: 0.25,
             incremental: false,
-            seed: 0x5E12_FE11,
         }
     }
 }
-
-/// In half-open quarantine, every `PROBE_EVERY`-th quarantined-path query
-/// runs the certified descent as a probe.
-const PROBE_EVERY: u64 = 4;
-/// Consecutive probe successes that close the breaker.
-const CLOSE_AFTER: u64 = 4;
 
 /// One published, immutable snapshot of the search structure.
 pub struct Generation<K: CatalogKey> {
@@ -115,11 +100,6 @@ pub struct QueryOk<K: CatalogKey> {
     /// The generation that served the answer — tests oracle against this,
     /// not against "the latest" structure.
     pub gen: Arc<Generation<K>>,
-    /// `true` if the answer came from the degraded per-node binary search
-    /// (quarantine or persistent certified-descent failure).
-    pub degraded: bool,
-    /// Certified-descent attempts consumed (1 = first try succeeded).
-    pub attempts: u32,
 }
 
 /// What a query resolves to.
@@ -139,8 +119,6 @@ impl<K: CatalogKey> std::fmt::Debug for QueryOk<K> {
             .field("answers", &self.answers)
             .field("path", &self.path)
             .field("gen", &self.gen.id)
-            .field("degraded", &self.degraded)
-            .field("attempts", &self.attempts)
             .finish()
     }
 }
@@ -159,14 +137,7 @@ pub(crate) struct Stats {
     pub(crate) submitted: AtomicU64,
     pub(crate) shed: AtomicU64,
     pub(crate) completed_exact: AtomicU64,
-    pub(crate) completed_degraded: AtomicU64,
     pub(crate) timeouts: AtomicU64,
-    pub(crate) quarantined_rejects: AtomicU64,
-    pub(crate) structural_failures: AtomicU64,
-    pub(crate) retries: AtomicU64,
-    pub(crate) corruption_detected: AtomicU64,
-    pub(crate) probes: AtomicU64,
-    pub(crate) probe_failures: AtomicU64,
     pub(crate) audits_run: AtomicU64,
     pub(crate) audits_dirty: AtomicU64,
     pub(crate) repairs: AtomicU64,
@@ -180,24 +151,16 @@ pub struct ServeStats {
     pub submitted: u64,
     /// Queries shed at admission (queue full).
     pub shed: u64,
-    /// Queries answered by the certified descent.
+    /// Queries answered.
     pub completed_exact: u64,
-    /// Queries answered by the degraded per-node binary search.
+    /// Always 0: every answer comes from the one per-node read, so there is
+    /// no degraded answer. Kept until the benchmark stops reading it.
     pub completed_degraded: u64,
     /// Queries abandoned at their deadline.
     pub timeouts: u64,
-    /// Quarantined-path queries rejected (degraded reads disabled).
-    pub quarantined_rejects: u64,
-    /// Queries that exhausted retries with degraded reads disabled.
-    pub structural_failures: u64,
-    /// Cooperative-search retries performed.
+    /// Always 0: the read cannot fail on corruption, so nothing retries.
+    /// Kept until the benchmark stops reading it.
     pub retries: u64,
-    /// Structural errors detected by the certified descent.
-    pub corruption_detected: u64,
-    /// Half-open probe queries sent through the certified descent.
-    pub probes: u64,
-    /// Probes that failed (re-opening the breaker).
-    pub probe_failures: u64,
     /// Audit cycles run.
     pub audits_run: u64,
     /// Audit cycles that found corruption.
@@ -206,8 +169,6 @@ pub struct ServeStats {
     pub repairs: u64,
     /// Generations published (rebuilds + repairs; excludes generation 0).
     pub generations_published: u64,
-    /// Breaker transitions into `Open` (including re-opens).
-    pub quarantine_opens: u64,
 }
 
 /// A point-in-time health snapshot of one service instance, exposed for
@@ -215,10 +176,6 @@ pub struct ServeStats {
 /// detection). Cheap: atomic loads plus one queue-length lock.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReplicaHealth {
-    /// Quarantine circuit-breaker state (`Closed` = fully healthy).
-    pub breaker: BreakerState,
-    /// Number of currently quarantined arena nodes.
-    pub quarantined_nodes: usize,
     /// Queries currently waiting in the admission queue.
     pub queue_len: usize,
     /// Admission queue capacity (the shed threshold).
@@ -244,7 +201,6 @@ pub(crate) struct Shared<K: CatalogKey> {
     pub(crate) cfg: ServeConfig,
     pub(crate) epoch: EpochPtr<Generation<K>>,
     pub(crate) queue: AdmissionQueue<Job<K>>,
-    pub(crate) quarantine: Quarantine,
     pub(crate) stats: Stats,
     pub(crate) shutdown: AtomicBool,
     pub(crate) audit_wake: (Mutex<bool>, Condvar),
@@ -318,7 +274,6 @@ impl<K: CatalogKey> Service<K> {
         let shared = Arc::new(Shared {
             epoch: EpochPtr::new(gen0, cfg.workers + 2),
             queue: AdmissionQueue::new(cfg.queue_cap),
-            quarantine: Quarantine::new(PROBE_EVERY, CLOSE_AFTER),
             stats: Stats::default(),
             shutdown: AtomicBool::new(false),
             audit_wake: (Mutex::new(false), Condvar::new()),
@@ -473,21 +428,9 @@ impl<K: CatalogKey> Service<K> {
             .gen_stats()
     }
 
-    /// Current quarantine breaker state.
-    pub fn quarantine_state(&self) -> BreakerState {
-        self.shared.quarantine.state()
-    }
-
-    /// Currently quarantined arena nodes.
-    pub fn quarantined_nodes(&self) -> Vec<u32> {
-        self.shared.quarantine.nodes()
-    }
-
     /// Health snapshot for cluster routing (see [`ReplicaHealth`]).
     pub fn health(&self) -> ReplicaHealth {
         ReplicaHealth {
-            breaker: self.shared.quarantine.state(),
-            quarantined_nodes: self.shared.quarantine.nodes().len(),
             queue_len: self.shared.queue.len(),
             queue_cap: self.shared.queue.capacity(),
             shed: self.shared.stats.shed.load(SeqCst),
@@ -502,15 +445,6 @@ impl<K: CatalogKey> Service<K> {
         self.shared.queue.len()
     }
 
-    /// Chaos hook: force-open the quarantine breaker over `nodes` without
-    /// running an audit — models a replica whose entire structure is
-    /// distrusted (e.g. a failed health check). Queries crossing the set
-    /// degrade or reject exactly as with an audit-driven open; the next
-    /// audit cycle repairs and half-opens as usual.
-    pub fn force_quarantine(&self, nodes: impl IntoIterator<Item = u32>) {
-        self.shared.quarantine.open(nodes);
-    }
-
     /// Snapshot of the service counters.
     pub fn stats(&self) -> ServeStats {
         let s = &self.shared.stats;
@@ -518,19 +452,13 @@ impl<K: CatalogKey> Service<K> {
             submitted: s.submitted.load(SeqCst),
             shed: s.shed.load(SeqCst),
             completed_exact: s.completed_exact.load(SeqCst),
-            completed_degraded: s.completed_degraded.load(SeqCst),
+            completed_degraded: 0,
             timeouts: s.timeouts.load(SeqCst),
-            quarantined_rejects: s.quarantined_rejects.load(SeqCst),
-            structural_failures: s.structural_failures.load(SeqCst),
-            retries: s.retries.load(SeqCst),
-            corruption_detected: s.corruption_detected.load(SeqCst),
-            probes: s.probes.load(SeqCst),
-            probe_failures: s.probe_failures.load(SeqCst),
+            retries: 0,
             audits_run: s.audits_run.load(SeqCst),
             audits_dirty: s.audits_dirty.load(SeqCst),
             repairs: s.repairs.load(SeqCst),
             generations_published: s.generations_published.load(SeqCst),
-            quarantine_opens: self.shared.quarantine.opens(),
         }
     }
 
@@ -576,9 +504,8 @@ pub(crate) fn publish_locked<K: CatalogKey>(shared: &Shared<K>, w: &mut Writer<K
 }
 
 /// One auditor cycle: audit the published generation and the writer's
-/// buffers; on corruption, quarantine the blamed region, repair the writer
-/// state (localized, audit-guided), republish, and half-open the breaker.
-/// Returns `true` if corruption was found.
+/// buffers; on corruption, repair the writer state (localized,
+/// audit-guided) and republish. Returns `true` if corruption was found.
 pub(crate) fn audit_cycle<K: CatalogKey>(
     shared: &Shared<K>,
     writer: &Mutex<Writer<K>>,
@@ -592,42 +519,13 @@ pub(crate) fn audit_cycle<K: CatalogKey>(
         guard.dy.audit_buffers().is_err()
     };
     if report.is_clean() && !buffers_dirty {
-        // Clean structure but an open breaker: nothing to repair (e.g. a
-        // forced quarantine, or a repair that already republished), so move
-        // to half-open and let probe queries close it.
-        if shared.quarantine.state() == BreakerState::Open {
-            shared.quarantine.half_open();
-        }
         return false;
     }
     shared.stats.audits_dirty.fetch_add(1, SeqCst);
 
-    // Quarantine the blamed region: node-granular blames directly, plus
-    // every node of any blamed skeleton unit (the search trusts skeleton
-    // keys across the whole unit).
-    let mut blamed: Vec<u32> = report.blamed_nodes();
-    for b in &report.findings {
-        if let Blame::Skeleton { sub, unit } = *b {
-            if let Some(u) = gen
-                .st
-                .substructures()
-                .get(sub)
-                .and_then(|s| s.units.get(unit))
-            {
-                blamed.extend(u.nodes.iter().map(|id| id.0));
-            }
-        }
-    }
-    blamed.sort_unstable();
-    blamed.dedup();
-    let quarantined = !blamed.is_empty();
-    if quarantined {
-        shared.quarantine.open(blamed);
-    }
-
     // Repair the writer state under its lock — queries never take this
-    // lock, they keep draining on published generations (degraded on
-    // quarantined paths) while the repair runs.
+    // lock, they keep draining on published generations while the repair
+    // runs.
     {
         let mut guard = writer.lock().unwrap_or_else(|p| p.into_inner());
         let w = &mut *guard;
@@ -650,9 +548,6 @@ pub(crate) fn audit_cycle<K: CatalogKey>(
         shared.stats.repairs.fetch_add(1, SeqCst);
         // fc-lint: allow(lock-discipline) -- by design: the repaired state must publish before the writer lock is released, or a writer could republish corruption
         publish_locked(shared, w);
-    }
-    if quarantined {
-        shared.quarantine.half_open();
     }
     true
 }
@@ -741,13 +636,11 @@ mod tests {
             let ok = svc
                 .query_blocking(leaf, y, None)
                 .unwrap_or_else(|e| panic!("query {i} failed: {e}"));
-            assert!(!ok.degraded);
             assert_eq!(ok.path, ok.gen.st.tree().path_from_root(leaf));
             assert_eq!(ok.answers, oracle(&ok.gen.st, &ok.path, y), "query {i}");
         }
         let stats = svc.shutdown();
         assert_eq!(stats.completed_exact, 40);
-        assert_eq!(stats.corruption_detected, 0);
     }
 
     #[test]
@@ -827,8 +720,6 @@ mod tests {
         assert!(!audit(&corrupted.st).is_clean(), "corruption was published");
 
         assert!(svc.audit_blocking(), "audit must find the injected faults");
-        assert_eq!(svc.quarantine_state(), BreakerState::HalfOpen);
-        assert!(!svc.quarantined_nodes().is_empty());
         let repaired = svc.snapshot();
         assert!(repaired.id > corrupted.id, "repair republished");
         assert!(audit(&repaired.st).is_clean(), "republished gen is clean");
@@ -837,7 +728,6 @@ mod tests {
         let stats = svc.shutdown();
         assert!(stats.audits_dirty >= 1);
         assert!(stats.repairs >= 1);
-        assert!(stats.quarantine_opens >= 1);
     }
 
     #[test]

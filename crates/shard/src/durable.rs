@@ -251,9 +251,12 @@ impl<K: CatalogKey + KeyCodec> DurableCluster<K> {
         Ok(())
     }
 
-    /// Drain every replica's buffers (force publish) and snapshot every
-    /// shard's published generation in place (same epoch, same manifest).
-    /// Returns the epoch the checkpoint landed in.
+    /// Drain every replica that has buffered changes (force publish) and
+    /// snapshot every shard's published generation in place (same epoch,
+    /// same manifest). A replica with nothing pending is not rebuilt:
+    /// every writer path publishes under the writer lock, so its published
+    /// generation already holds its logical catalogs. Returns the epoch
+    /// the checkpoint landed in.
     pub fn checkpoint(&self) -> Result<u64, StoreError> {
         let st = self.state.lock().unwrap_or_else(|p| p.into_inner());
         let cstate = self.cluster.state();
@@ -263,7 +266,7 @@ impl<K: CatalogKey + KeyCodec> DurableCluster<K> {
             ));
         }
         for (group, store) in cstate.groups.iter().zip(&st.stores) {
-            for svc in group.iter() {
+            for svc in group.iter().filter(|svc| svc.gen_stats().pending > 0) {
                 // fc-lint: allow(lock-discipline) -- intentional: checkpoint must drain+publish every replica with writers held off, or the snapshots diverge
                 svc.force_publish();
             }
@@ -298,10 +301,11 @@ impl<K: CatalogKey + KeyCodec> DurableCluster<K> {
             return Ok(None);
         };
         // Drain all buffers so the new epoch's snapshots are complete
-        // (its WALs start empty).
+        // (its WALs start empty); a replica with nothing pending already
+        // publishes its logical catalogs (see `checkpoint`).
         let cstate = self.cluster.state();
         for group in &cstate.groups {
-            for svc in group.iter() {
+            for svc in group.iter().filter(|svc| svc.gen_stats().pending > 0) {
                 // fc-lint: allow(lock-discipline) -- intentional: see the critical-section note at the top of split_durable
                 svc.force_publish();
             }
@@ -499,6 +503,31 @@ mod tests {
         let leaf = dc2.cluster().leaves()[0];
         let ok = dc2.cluster().query_blocking(leaf, 500, None).unwrap();
         assert_eq!(ok.answers, full_oracle(&tree, leaf, 500));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A checkpoint with nothing buffered rebuilds no replica, so the
+    /// replicas of a shard keep sharing the structure they started on.
+    #[test]
+    fn checkpoint_with_nothing_pending_rebuilds_nothing() {
+        let dir = tmp("noopcheckpoint");
+        let tree = full_tree(75);
+        let dc =
+            DurableCluster::create(&dir, &tree, ParamMode::Auto, cfg(2, 2), no_fsync()).unwrap();
+        dc.checkpoint().unwrap();
+        dc.checkpoint().unwrap();
+        for (shard, group) in dc.cluster().state().groups.iter().enumerate() {
+            for svc in group.iter() {
+                assert_eq!(svc.gen_stats().rebuilds, 0, "shard {shard} rebuilt");
+            }
+            let first = group.replica(0).unwrap().snapshot();
+            let second = group.replica(1).unwrap().snapshot();
+            assert!(
+                Arc::ptr_eq(&first.st, &second.st),
+                "shard {shard}'s replicas no longer share one structure"
+            );
+        }
+        dc.shutdown();
         let _ = fs::remove_dir_all(&dir);
     }
 

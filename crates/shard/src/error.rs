@@ -9,10 +9,10 @@ use std::fmt;
 /// wrong answer.**
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ShardError {
-    /// Every replica of `shard` failed the query; `last` is the error
-    /// from the final replica tried. This is the only way a key range
-    /// becomes unanswerable — a single quarantined replica fails over to
-    /// its peer instead.
+    /// Every replica of `shard` failed the query (shed, timed out, or shut
+    /// down); `last` is the error from the final replica tried. This is
+    /// the only way a key range becomes unanswerable — a single failing
+    /// replica fails over to its peer instead.
     ShardUnavailable {
         /// The shard whose replica set was exhausted.
         shard: usize,

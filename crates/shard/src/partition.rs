@@ -9,23 +9,16 @@
 //!
 //! ## Why contiguous ranges (and not hashing)
 //!
-//! Every query in this workspace is an order query — a cooperative search
-//! answers *successors* along a root-to-leaf path, and range retrieval
-//! reports contiguous catalog runs. Contiguous partitioning preserves the
-//! order semantics across the cluster: the shards, read in ascending index
-//! order, cover the key axis in ascending order, so
-//!
-//! * a successor query for `y` is answered by the **owner shard**
-//!   `shard_of(y)` unless that shard's catalogs hold no key `≥ y` at some
-//!   path node, in which case the true successor is the first answer found
-//!   by *escalating* through shards `owner+1, owner+2, …` in order — an
-//!   earlier shard can never hold it (all its keys are `< y`'s owner
-//!   range… and every key it stores below a cut is `< y` only when
-//!   `y ≥` the cut, which holds by ownership);
-//! * a range report `[lo, hi]` scatters to exactly
-//!   [`RoutingTable::shards_overlapping`] and the per-shard partial
-//!   results concatenate in shard order into a globally ordered report
-//!   (`fc_retrieval::merge_shard_reports`).
+//! Every query the cluster serves is an order query — it answers
+//! *successors* along a root-to-leaf path. Contiguous partitioning
+//! preserves the order semantics across the cluster: the shards, read in
+//! ascending index order, cover the key axis in ascending order, so a
+//! successor query for `y` is answered by the **owner shard**
+//! `shard_of(y)` unless that shard's catalogs hold no key `≥ y` at some
+//! path node, in which case the true successor is the first answer found
+//! by *escalating* through shards `owner+1, owner+2, …` in order — an
+//! earlier shard can never hold it (every key it stores lies below a cut
+//! that is `≤ y`, by ownership).
 //!
 //! The routing invariant, stated once and tested below: **for every key
 //! `y` and every table version, `shard_of(y)` is the unique shard whose
@@ -116,15 +109,6 @@ impl<K: CatalogKey> RoutingTable<K> {
         (lo, hi)
     }
 
-    /// All shards whose ranges intersect the closed key interval
-    /// `[lo, hi]`, in ascending (key) order. Empty when `lo > hi`.
-    pub fn shards_overlapping(&self, lo: &K, hi: &K) -> std::ops::Range<usize> {
-        if lo > hi {
-            return 0..0;
-        }
-        self.shard_of(lo)..self.shard_of(hi) + 1
-    }
-
     /// A new table in which `shard` is split at `at`: the shard's range
     /// becomes `[shard.lo, at)` and `[at, shard.hi)`. Returns `None` when
     /// `at` is not strictly inside the shard's range (a degenerate split
@@ -194,16 +178,6 @@ mod tests {
         assert_eq!(t.shard_of(&100), 1);
         assert_eq!(t.shard_of(&299), 2);
         assert_eq!(t.shard_of(&300), 3);
-    }
-
-    #[test]
-    fn overlap_is_the_exact_contiguous_run() {
-        let t = table();
-        assert_eq!(t.shards_overlapping(&-10, &50), 0..1);
-        assert_eq!(t.shards_overlapping(&50, &250), 0..3);
-        assert_eq!(t.shards_overlapping(&100, &100), 1..2);
-        assert_eq!(t.shards_overlapping(&0, &1000), 0..4);
-        assert_eq!(t.shards_overlapping(&5, &4), 0..0, "inverted interval");
     }
 
     #[test]

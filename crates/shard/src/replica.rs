@@ -1,15 +1,15 @@
 //! A replicated group of independent [`Service`] instances for one shard.
 //!
-//! Replication here is for *availability under corruption*, not for
-//! durability: each replica runs its own worker pool, auditor, quarantine
-//! breaker, and generation chain over the same logical key set. Updates are
-//! applied to every replica; faults are injected (and repaired) per
-//! replica. The router sends each query to one healthy replica and fails
-//! over to a peer when the chosen replica returns a typed error — so a
-//! fully-quarantined replica degrades throughput, never answerability.
+//! Replication here is for *availability*, not for durability: each
+//! replica runs its own worker pool, auditor, and generation chain over the
+//! same logical key set. Updates are applied to every replica; faults are
+//! injected (and repaired) per replica. The router sends each query to the
+//! least-loaded replica and fails over to a peer when the chosen replica
+//! returns a typed error (shed, timeout, shutdown) — so one saturated
+//! replica costs throughput, not answerability.
 
 use fc_catalog::CatalogKey;
-use fc_serve::{BreakerState, ReplicaHealth, Service};
+use fc_serve::{ReplicaHealth, Service};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
 /// The replicas of one shard plus a round-robin cursor for tie-breaking
@@ -53,10 +53,9 @@ impl<K: CatalogKey> ReplicaSet<K> {
         self.replicas.iter().map(|r| r.health()).collect()
     }
 
-    /// Pick the healthiest replica to try first: `Closed` breaker beats
-    /// `HalfOpen` beats `Open`, less-loaded queue beats fuller, and a
-    /// rotating round-robin offset breaks remaining ties so equally
-    /// healthy replicas share load. Returns `(index, service)`.
+    /// Pick the replica to try first: the less-saturated admission queue
+    /// wins, and a rotating round-robin offset breaks ties so equally
+    /// loaded replicas share load. Returns `(index, service)`.
     pub fn pick_healthy(&self) -> Option<(usize, &Service<K>)> {
         let n = self.replicas.len();
         if n == 0 {
@@ -69,45 +68,15 @@ impl<K: CatalogKey> ReplicaSet<K> {
             let Some(svc) = self.replicas.get(idx) else {
                 continue;
             };
-            let h = svc.health();
-            let breaker_rank = match h.breaker {
-                BreakerState::Closed => 0u64,
-                BreakerState::HalfOpen => 1,
-                BreakerState::Open => 2,
-            };
-            // Lexicographic (breaker, queue saturation in 1/1024ths);
-            // round-robin order already decides ties via the scan order.
-            let score = breaker_rank * 1_000_000 + (h.queue_frac() * 1024.0) as u64;
+            // Queue saturation in 1/1024ths; round-robin order already
+            // decides ties via the scan order.
+            let score = (svc.health().queue_frac() * 1024.0) as u64;
             let better = best.is_none_or(|(b, _)| score < b);
             if better {
                 best = Some((score, idx));
             }
         }
         best.and_then(|(_, idx)| self.replicas.get(idx).map(|svc| (idx, svc)))
-    }
-
-    /// The first replica other than `not`, preferring healthy ones — the
-    /// failover target after replica `not` returned an error.
-    pub fn pick_excluding(&self, not: usize) -> Option<(usize, &Service<K>)> {
-        let n = self.replicas.len();
-        let start = self.rr.fetch_add(1, Relaxed) % n.max(1);
-        let mut fallback: Option<(usize, &Service<K>)> = None;
-        for off in 0..n {
-            let idx = (start + off) % n;
-            if idx == not {
-                continue;
-            }
-            let Some(svc) = self.replicas.get(idx) else {
-                continue;
-            };
-            if svc.health().breaker == BreakerState::Closed {
-                return Some((idx, svc));
-            }
-            if fallback.is_none() {
-                fallback = Some((idx, svc));
-            }
-        }
-        fallback
     }
 }
 
@@ -133,37 +102,9 @@ mod tests {
     }
 
     #[test]
-    fn pick_healthy_avoids_open_breakers() {
-        let a = mk_service(1);
-        let b = mk_service(2);
-        let set = ReplicaSet::new(vec![a, b]);
-        // Force replica 0's breaker open: picks must land on replica 1.
-        let nodes: Vec<u32> = (0..8).collect();
-        set.replica(0).unwrap().force_quarantine(nodes);
-        for _ in 0..6 {
-            let (idx, _) = set.pick_healthy().unwrap();
-            assert_eq!(idx, 1, "open breaker must lose to closed");
-        }
-    }
-
-    #[test]
     fn healthy_ties_rotate_round_robin() {
         let set = ReplicaSet::new(vec![mk_service(3), mk_service(4)]);
         let picks: Vec<usize> = (0..6).map(|_| set.pick_healthy().unwrap().0).collect();
         assert!(picks.contains(&0) && picks.contains(&1), "{picks:?}");
-    }
-
-    #[test]
-    fn excluding_skips_the_failed_replica() {
-        let set = ReplicaSet::new(vec![mk_service(5), mk_service(6)]);
-        for _ in 0..4 {
-            assert_eq!(set.pick_excluding(0).unwrap().0, 1);
-            assert_eq!(set.pick_excluding(1).unwrap().0, 0);
-        }
-        let single = ReplicaSet::new(vec![mk_service(7)]);
-        assert!(
-            single.pick_excluding(0).is_none(),
-            "no peer to fail over to"
-        );
     }
 }

@@ -16,15 +16,13 @@
 //!
 //! ## The batched fast path
 //!
-//! [`ShardCluster::query_batch`] groups a batch by owner shard and runs
-//! each query of a shard's sub-batch through `fc_coop::certified_descent`
-//! — the same certified read the serve workers run — directly against a
-//! pinned replica generation, spreading chunks over OS threads. Queries
-//! whose descent reports a structural error fall back, individually, to
-//! the owning service's full retry/degraded machinery, and escalation
-//! rounds re-batch the still-incomplete queries per next shard. The
-//! integrity contract is unchanged: every per-leg answer is certified
-//! against the native catalogs of the generation that served it.
+//! [`ShardCluster::query_batch`] groups a batch by owner shard and answers
+//! each query of a shard's sub-batch with the serve workers' read — one
+//! `partition_point` per path node on the native catalogs — directly
+//! against a pinned replica generation, spreading chunks over OS threads.
+//! Escalation rounds re-batch the still-incomplete queries per next shard.
+//! The integrity contract is unchanged: every per-leg answer is the
+//! sequential oracle on the generation that served it.
 //!
 //! This file is in the workspace's panic-free/index-free lint scope
 //! (`cargo xtask lint`): no `unwrap`/`expect`/`panic!` and no direct
@@ -33,13 +31,11 @@
 use crate::error::ShardError;
 use crate::partition::RoutingTable;
 use crate::replica::ReplicaSet;
-use fc_catalog::{CatalogKey, CatalogTree, FcError, NodeId};
+use fc_catalog::{CatalogKey, CatalogTree, NodeId};
 use fc_coop::dynamic::UpdateOp;
-use fc_coop::{certified_descent, CancelToken, CoopStructure, ParamMode};
-use fc_resilience::{shard_seed, FaultPlan, FaultSpec};
-use fc_retrieval::{merge_shard_reports, MergedReport, RangeList, ReportRange};
-use fc_serve::{BreakerState, EpochPtr};
-use fc_serve::{Generation, QueryOk, ReplicaHealth, ServeConfig, ServeError, Service};
+use fc_coop::{CoopStructure, ParamMode};
+use fc_resilience::{FaultPlan, FaultSpec};
+use fc_serve::{EpochPtr, Generation, QueryOk, ReplicaHealth, ServeConfig, ServeError, Service};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::SeqCst};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -51,8 +47,7 @@ pub struct ShardConfig {
     pub shards: usize,
     /// Replicas per shard (≥ 1; 2 gives single-fault failover).
     pub replicas: usize,
-    /// Per-replica service configuration (each replica's seed is derived
-    /// from `serve.seed` via [`fc_resilience::shard_seed`]).
+    /// Per-replica service configuration.
     pub serve: ServeConfig,
     /// OS threads the batched fast path spreads chunks over.
     pub batch_threads: usize,
@@ -94,16 +89,12 @@ pub struct ShardLeg<K: CatalogKey> {
     pub shard: usize,
     /// The replica index (within the shard) that answered.
     pub replica: usize,
-    /// The exact generation the answer was computed (and verified) on.
+    /// The exact generation the answer was computed on.
     pub gen: Arc<Generation<K>>,
     /// The root-to-leaf path on that generation.
     pub path: Vec<NodeId>,
     /// Per-path-node successors *within this shard's key range*.
     pub answers: Vec<Option<K>>,
-    /// Whether the leg was served by the degraded per-node binary search.
-    pub degraded: bool,
-    /// Cooperative-search attempts the serving replica consumed.
-    pub attempts: u32,
     /// Replicas that failed before this one answered.
     pub failovers: u32,
 }
@@ -114,8 +105,6 @@ impl<K: CatalogKey> std::fmt::Debug for ShardLeg<K> {
             .field("shard", &self.shard)
             .field("replica", &self.replica)
             .field("gen", &self.gen.id)
-            .field("degraded", &self.degraded)
-            .field("attempts", &self.attempts)
             .field("failovers", &self.failovers)
             .finish_non_exhaustive()
     }
@@ -145,8 +134,6 @@ pub(crate) struct Stats {
     pub(crate) legs: AtomicU64,
     pub(crate) escalations: AtomicU64,
     pub(crate) failovers: AtomicU64,
-    pub(crate) probes: AtomicU64,
-    pub(crate) fallbacks: AtomicU64,
     pub(crate) budget_exhausted: AtomicU64,
     pub(crate) shard_unavailable: AtomicU64,
     pub(crate) splits: AtomicU64,
@@ -165,10 +152,6 @@ pub struct ShardStats {
     pub escalations: u64,
     /// Replica failovers (a replica erred and a peer was tried).
     pub failovers: u64,
-    /// Shadow probes routed to recovering (half-open) replicas.
-    pub probes: u64,
-    /// Batched fast-path queries that fell back to the single-query path.
-    pub fallbacks: u64,
     /// Queries abandoned because the deadline budget ran out mid-scatter.
     pub budget_exhausted: u64,
     /// Queries that found some shard's whole replica set unavailable.
@@ -250,7 +233,7 @@ pub(crate) fn build_group<K: CatalogKey>(
         .collect();
     let sub = CatalogTree::from_parents(parents, catalogs);
     let st = Arc::new(CoopStructure::preprocess(sub, mode));
-    build_group_from_structure(&st, 0, shard, mode, cfg)
+    build_group_from_structure(&st, 0, mode, cfg)
 }
 
 /// Start the replica group for one shard on one preprocessed structure of
@@ -262,16 +245,11 @@ pub(crate) fn build_group<K: CatalogKey>(
 pub(crate) fn build_group_from_structure<K: CatalogKey>(
     st: &Arc<CoopStructure<K>>,
     generation: u64,
-    shard: usize,
     mode: ParamMode,
     cfg: &ShardConfig,
 ) -> ReplicaSet<K> {
     let replicas = (0..cfg.replicas.max(1))
-        .map(|r| {
-            let mut scfg = cfg.serve.clone();
-            scfg.seed = shard_seed(cfg.serve.seed, shard, r);
-            Service::from_structure(Arc::clone(st), generation, mode, scfg)
-        })
+        .map(|_| Service::from_structure(Arc::clone(st), generation, mode, cfg.serve.clone()))
         .collect();
     ReplicaSet::new(replicas)
 }
@@ -331,15 +309,8 @@ impl<K: CatalogKey> ShardCluster<K> {
         }
         let groups = shards
             .iter()
-            .enumerate()
-            .map(|(shard, (st, generation))| {
-                Arc::new(build_group_from_structure(
-                    st,
-                    *generation,
-                    shard,
-                    mode,
-                    &cfg,
-                ))
+            .map(|(st, generation)| {
+                Arc::new(build_group_from_structure(st, *generation, mode, &cfg))
             })
             .collect();
         let state = Arc::new(ClusterState { table, groups });
@@ -432,8 +403,7 @@ impl<K: CatalogKey> ShardCluster<K> {
         self.gather(&state, leaf, y, owner, by)
     }
 
-    /// The sequential gather loop shared by the single-query path and the
-    /// batched fast path's fallback.
+    /// The sequential gather loop of [`ShardCluster::query_blocking`].
     fn gather(
         &self,
         state: &ClusterState<K>,
@@ -495,14 +465,8 @@ impl<K: CatalogKey> ShardCluster<K> {
     }
 
     /// One leg against one shard, with replica failover: try the
-    /// healthiest replica; on a typed error, wake its auditor and try
-    /// every peer before declaring the shard unavailable.
-    ///
-    /// Recovering (half-open) peers that the healthy pick routed *around*
-    /// get a fire-and-forget shadow copy of the query: half-open breakers
-    /// only close after consecutive successful probe queries, and a router
-    /// that starves a recovering replica of traffic would pin it half-open
-    /// forever.
+    /// least-loaded replica, and on a typed error (shed, timeout,
+    /// shutdown) try every peer before declaring the shard unavailable.
     fn ask_shard(
         &self,
         group: &ReplicaSet<K>,
@@ -512,15 +476,6 @@ impl<K: CatalogKey> ShardCluster<K> {
         slice: Duration,
     ) -> Result<ShardLeg<K>, ShardError> {
         self.stats.legs.fetch_add(1, SeqCst);
-        for idx in 0..group.len() {
-            if let Some(peer) = group.replica(idx) {
-                if peer.quarantine_state() == BreakerState::HalfOpen {
-                    // Shadow probe: result discarded, shedding is fine.
-                    drop(peer.submit(leaf, y, Some(slice)));
-                    self.stats.probes.fetch_add(1, SeqCst);
-                }
-            }
-        }
         let Some((first_idx, first)) = group.pick_healthy() else {
             self.stats.shard_unavailable.fetch_add(1, SeqCst);
             return Err(ShardError::ShardUnavailable {
@@ -529,16 +484,10 @@ impl<K: CatalogKey> ShardCluster<K> {
                 last: ServeError::ShuttingDown,
             });
         };
-        let mut last: ServeError;
-        match first.query_blocking(leaf, y, Some(slice)) {
+        let mut last = match first.query_blocking(leaf, y, Some(slice)) {
             Ok(ok) => return Ok(mk_leg(shard, first_idx, ok, 0)),
-            Err(e) => {
-                // The replica failed the query: schedule a background
-                // audit/repair on it and fail over to its peers.
-                first.trigger_audit();
-                last = e;
-            }
-        }
+            Err(e) => e,
+        };
         let mut tried = 1u32;
         for idx in 0..group.len() {
             if idx == first_idx {
@@ -551,10 +500,7 @@ impl<K: CatalogKey> ShardCluster<K> {
             tried += 1;
             match peer.query_blocking(leaf, y, Some(slice)) {
                 Ok(ok) => return Ok(mk_leg(shard, idx, ok, tried - 1)),
-                Err(e) => {
-                    peer.trigger_audit();
-                    last = e;
-                }
+                Err(e) => last = e,
             }
         }
         self.stats.shard_unavailable.fetch_add(1, SeqCst);
@@ -565,8 +511,8 @@ impl<K: CatalogKey> ShardCluster<K> {
         })
     }
 
-    /// Answer a batch of successor queries through the batched cooperative
-    /// descent (see module docs). Returns one result per query, in input
+    /// Answer a batch of successor queries through the batched fast path
+    /// (see module docs). Returns one result per query, in input
     /// order; per-query failures do not fail the batch.
     pub fn query_batch(
         &self,
@@ -686,10 +632,9 @@ impl<K: CatalogKey> ShardCluster<K> {
 
     /// Run one scatter round: group the active queries by target shard,
     /// chunk each group, and execute the chunks on `batch_threads` OS
-    /// threads. Each chunk pins one replica generation and runs the
-    /// certified descent per query on it; structural failures fall back to
-    /// the single-query path (retries, degraded reads, failover). Every
-    /// active query has completed `legs_done` legs (one per earlier round).
+    /// threads. Each chunk pins one replica generation and answers each of
+    /// its queries with the per-node read on it. Every active query has
+    /// completed `legs_done` legs (one per earlier round).
     fn run_round(
         &self,
         state: &ClusterState<K>,
@@ -729,7 +674,7 @@ impl<K: CatalogKey> ShardCluster<K> {
                     let Some((shard, qis)) = work.get(it) else {
                         break;
                     };
-                    self.run_chunk(state, queries, *shard, qis, slice, deadline, legs_done, &tx);
+                    self.run_chunk(state, queries, *shard, qis, deadline, legs_done, &tx);
                 });
             }
         });
@@ -738,6 +683,8 @@ impl<K: CatalogKey> ShardCluster<K> {
     }
 
     /// Execute one (shard, chunk) work item (see [`ShardCluster::run_round`]).
+    /// A query reached after the round's `deadline` is a typed
+    /// [`ShardError::BudgetExhausted`], not an answer.
     #[allow(clippy::too_many_arguments)]
     fn run_chunk(
         &self,
@@ -745,7 +692,6 @@ impl<K: CatalogKey> ShardCluster<K> {
         queries: &[(NodeId, K)],
         shard: usize,
         qis: &[usize],
-        slice: Duration,
         deadline: Instant,
         legs_done: usize,
         tx: &mpsc::Sender<(usize, Result<ShardLeg<K>, ShardError>)>,
@@ -769,45 +715,38 @@ impl<K: CatalogKey> ShardCluster<K> {
             return;
         };
         let gen = svc.snapshot();
-        let cancel = CancelToken::with_deadline(deadline);
+        let tree = gen.st.tree();
         for &qi in qis {
             let Some(&(leaf, y)) = queries.get(qi) else {
                 continue;
             };
-            let path = gen.st.tree().path_from_root(leaf);
-            let mut answers = Vec::with_capacity(path.len());
-            match certified_descent(&gen.st, &path, y, &cancel, &mut answers) {
-                Ok(()) => {
-                    self.stats.legs.fetch_add(1, SeqCst);
-                    let _ = tx.send((
-                        qi,
-                        Ok(ShardLeg {
-                            shard,
-                            replica: ridx,
-                            path,
-                            gen: Arc::clone(&gen),
-                            answers,
-                            degraded: false,
-                            attempts: 1,
-                            failovers: 0,
-                        }),
-                    ));
-                }
-                Err(FcError::Cancelled) => {
-                    // The round's slice ran out: the same typed error the
-                    // batch's own deadline check gives, not corruption.
-                    self.stats.budget_exhausted.fetch_add(1, SeqCst);
-                    let _ = tx.send((qi, Err(ShardError::BudgetExhausted { shard, legs_done })));
-                }
-                Err(_structural) => {
-                    // The fast path saw corruption: wake the auditor and
-                    // reroute through the owning service's full machinery
-                    // — retries, degraded reads, failover.
-                    svc.trigger_audit();
-                    self.stats.fallbacks.fetch_add(1, SeqCst);
-                    let _ = tx.send((qi, self.ask_shard(group, shard, leaf, y, slice)));
-                }
+            if Instant::now() >= deadline {
+                // The round's slice ran out: the same typed error the
+                // batch's own deadline check gives.
+                self.stats.budget_exhausted.fetch_add(1, SeqCst);
+                let _ = tx.send((qi, Err(ShardError::BudgetExhausted { shard, legs_done })));
+                continue;
             }
+            let path = tree.path_from_root(leaf);
+            let answers = path
+                .iter()
+                .map(|&node| {
+                    let cat = tree.catalog(node);
+                    cat.get(cat.partition_point(|k| *k < y)).copied()
+                })
+                .collect();
+            self.stats.legs.fetch_add(1, SeqCst);
+            let _ = tx.send((
+                qi,
+                Ok(ShardLeg {
+                    shard,
+                    replica: ridx,
+                    path,
+                    gen: Arc::clone(&gen),
+                    answers,
+                    failovers: 0,
+                }),
+            ));
         }
     }
 
@@ -839,41 +778,6 @@ impl<K: CatalogKey> ShardCluster<K> {
         }
     }
 
-    /// Scatter a range report over the shards overlapping `[lo, hi]` and
-    /// merge the per-shard partial results into one globally ordered
-    /// report (`fc_retrieval::merge_shard_reports`).
-    pub fn range_report(&self, leaf: NodeId, lo: K, hi: K) -> Result<MergedReport, ShardError> {
-        let state = self.state();
-        let mut parts: Vec<(u32, RangeList)> = Vec::new();
-        for shard in state.table.shards_overlapping(&lo, &hi) {
-            let Some(group) = state.groups.get(shard) else {
-                continue;
-            };
-            let Some((_, svc)) = group.pick_healthy() else {
-                self.stats.shard_unavailable.fetch_add(1, SeqCst);
-                return Err(ShardError::ShardUnavailable {
-                    shard,
-                    tried: 0,
-                    last: ServeError::ShuttingDown,
-                });
-            };
-            let gen = svc.snapshot();
-            let tree = gen.st.tree();
-            let ranges = tree.path_from_root(leaf).into_iter().map(|node| {
-                let cat = tree.catalog(node);
-                let start = cat.partition_point(|k| *k < lo);
-                let end = cat.partition_point(|k| *k <= hi);
-                ReportRange {
-                    node_idx: node.0,
-                    start: start as u32,
-                    count: (end - start) as u32,
-                }
-            });
-            parts.push((shard as u32, RangeList::from_ranges(ranges)));
-        }
-        Ok(merge_shard_reports(parts))
-    }
-
     /// Chaos hook: inject a resolved fault plan into one replica (see
     /// `Service::inject`). Returns the plan, or `None` for a bad address.
     pub fn inject(
@@ -886,19 +790,6 @@ impl<K: CatalogKey> ShardCluster<K> {
         let state = self.state();
         let svc = state.groups.get(shard)?.replica(replica)?;
         Some(svc.inject(spec, seed))
-    }
-
-    /// Chaos hook: force-open one replica's quarantine breaker over its
-    /// *entire* arena — a replica whose whole structure is distrusted.
-    /// Returns `false` for a bad address.
-    pub fn force_quarantine_replica(&self, shard: usize, replica: usize) -> bool {
-        let state = self.state();
-        let Some(svc) = state.groups.get(shard).and_then(|g| g.replica(replica)) else {
-            return false;
-        };
-        let nodes: Vec<u32> = svc.snapshot().st.tree().ids().map(|id| id.0).collect();
-        svc.force_quarantine(nodes);
-        true
     }
 
     /// Wake every replica's background auditor.
@@ -962,8 +853,6 @@ impl<K: CatalogKey> ShardCluster<K> {
             legs: s.legs.load(SeqCst),
             escalations: s.escalations.load(SeqCst),
             failovers: s.failovers.load(SeqCst),
-            probes: s.probes.load(SeqCst),
-            fallbacks: s.fallbacks.load(SeqCst),
             budget_exhausted: s.budget_exhausted.load(SeqCst),
             shard_unavailable: s.shard_unavailable.load(SeqCst),
             splits: s.splits.load(SeqCst),
@@ -992,8 +881,6 @@ fn mk_leg<K: CatalogKey>(
         gen: ok.gen,
         path: ok.path,
         answers: ok.answers,
-        degraded: ok.degraded,
-        attempts: ok.attempts,
         failovers,
     }
 }
@@ -1110,8 +997,7 @@ mod tests {
         let before = cluster.stats();
         let (tx, rx) = mpsc::channel();
         let expired = Instant::now();
-        let slice = Duration::from_secs(5);
-        cluster.run_chunk(&state, &[(leaf, 7)], 0, &[0], slice, expired, 2, &tx);
+        cluster.run_chunk(&state, &[(leaf, 7)], 0, &[0], expired, 2, &tx);
         drop(tx);
         let sent: Vec<_> = rx.try_iter().collect();
         assert_eq!(sent.len(), 1);
@@ -1127,10 +1013,6 @@ mod tests {
             sent[0].1.as_ref().map(|leg| &leg.answers)
         );
         let after = cluster.stats();
-        assert_eq!(
-            after.fallbacks, before.fallbacks,
-            "no single-query fallback"
-        );
         assert_eq!(after.budget_exhausted, before.budget_exhausted + 1);
         drop(state);
         cluster.shutdown();
@@ -1199,43 +1081,18 @@ mod tests {
     fn single_replica_corruption_fails_over_not_errors() {
         let tree = full_tree(39);
         let cluster = ShardCluster::start(&tree, ParamMode::Auto, small_cfg(4, 2));
-        assert!(cluster.force_quarantine_replica(1, 0));
+        let plan = cluster
+            .inject(1, 0, &FaultSpec::one_of_each(), 40)
+            .expect("valid address");
+        assert!(plan.structural_len() > 0);
         let leaves = cluster.leaves();
         let mut rng = SmallRng::seed_from_u64(40);
         for _ in 0..30 {
             let leaf = leaves[rng.gen_range(0..leaves.len())];
             let y = rng.gen_range(-100..25_000i64);
-            let ok = cluster.query_blocking(leaf, y, None).expect("failover");
+            let ok = cluster.query_blocking(leaf, y, None).expect("answer");
             assert_eq!(ok.answers, full_oracle(&tree, leaf, y));
         }
-        // The quarantined replica is never *picked first* while open, so
-        // queries keep flowing; a degraded or failover answer is fine, a
-        // wrong one is not (checked above).
-        cluster.shutdown();
-    }
-
-    #[test]
-    fn range_reports_merge_across_shards_in_key_order() {
-        let tree = full_tree(41);
-        let cluster = ShardCluster::start(&tree, ParamMode::Auto, small_cfg(4, 1));
-        let leaf = cluster.leaves()[0];
-        let (lo, hi) = (500i64, 18_000i64);
-        let merged = cluster.range_report(leaf, lo, hi).expect("report");
-        assert!(merged.parts >= 2, "range should span multiple shards");
-        // Total must equal the unsharded count over the same path.
-        let expect: u64 = tree
-            .path_from_root(leaf)
-            .iter()
-            .map(|&n| {
-                let cat = tree.catalog(n);
-                (cat.partition_point(|k| *k <= hi) - cat.partition_point(|k| *k < lo)) as u64
-            })
-            .sum();
-        assert_eq!(merged.total, expect);
-        let shard_seq: Vec<u32> = merged.ranges.iter().map(|r| r.shard).collect();
-        let mut sorted = shard_seq.clone();
-        sorted.sort_unstable();
-        assert_eq!(shard_seq, sorted, "ranges must be in ascending shard order");
         cluster.shutdown();
     }
 

@@ -1,7 +1,7 @@
 //! Quickstart for the sharded cluster (`fc-shard`): build a 4-shard ×
 //! 2-replica cluster, run single and batched queries, route updates,
-//! corrupt and quarantine replicas, and split a hot shard — printing the
-//! routing-table versions and cluster counters along the way.
+//! corrupt a replica and audit it clean, and split a hot shard — printing
+//! the routing-table versions and cluster counters along the way.
 //!
 //! ```sh
 //! cargo run --release -p fc-shard --example sharded_serve
@@ -85,7 +85,7 @@ fn main() {
     cluster.update_batch(&ops);
     println!("routed {} updates", ops.len());
 
-    // --- chaos: corrupt a replica, quarantine another --------------------
+    // --- chaos: corrupt a replica, then audit and repair -----------------
     let plan = cluster
         .inject(1, 0, &FaultSpec::one_of_each(), 7)
         .expect("inject");
@@ -93,20 +93,18 @@ fn main() {
         "injected {} faults into shard 1 replica 0",
         plan.structural_len() + plan.dynamic_len()
     );
-    cluster.force_quarantine_replica(2, 1);
-    println!("force-quarantined shard 2 replica 1 (entire arena)");
     for _ in 0..20 {
         let leaf = leaves[rng.gen_range(0..leaves.len())];
         let y = rng.gen_range(0..70_000i64);
-        let _ = cluster.query_blocking(leaf, y, None); // failover / degrade
+        let _ = cluster.query_blocking(leaf, y, None);
     }
     while cluster.audit_blocking_all() > 0 {}
     println!("audits clean; health:");
     for (s, replicas) in cluster.health().iter().enumerate() {
         for (r, h) in replicas.iter().enumerate() {
             println!(
-                "  shard {s} replica {r}: breaker {:?}, queue {}/{}, epoch {}",
-                h.breaker, h.queue_len, h.queue_cap, h.epoch
+                "  shard {s} replica {r}: queue {}/{}, epoch {}",
+                h.queue_len, h.queue_cap, h.epoch
             );
         }
     }

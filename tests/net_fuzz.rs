@@ -241,7 +241,7 @@ fn garbage_storm_on_live_sockets_then_oracle_equal() {
 }
 
 /// The `Health` frame works over a live socket and reports what the
-/// operator needs: per-shard replica lines (queue depth, breaker state,
+/// operator needs: per-shard replica lines (queue depth, shed counts,
 /// heat) plus the wire-level counters, updating as traffic flows.
 #[test]
 fn health_report_over_the_wire_names_every_shard() {
@@ -266,7 +266,6 @@ fn health_report_over_the_wire_names_every_shard() {
     for needle in [
         "queue",
         "shed",
-        "breaker",
         "heat",
         "answers",
         "incr_applies",

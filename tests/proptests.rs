@@ -3,8 +3,7 @@
 //!
 //! * fractional cascading Properties 1–3 on arbitrary trees and catalogs;
 //! * cooperative search == sequential search == naive search, for
-//!   arbitrary instances, queries, and processor counts, and the served
-//!   certified descent == naive search across tree shapes;
+//!   arbitrary instances, queries, and processor counts;
 //! * Lemma 1 disjointness on the bidirectional structure;
 //! * point location == brute force on arbitrary monotone subdivisions;
 //! * retrieval == brute-force report sets.
@@ -18,7 +17,7 @@ use fc_catalog::search::{search_path_fc, search_path_naive};
 use fc_catalog::CascadedTree;
 use fc_coop::explicit::coop_search_explicit;
 use fc_coop::skeleton::check_lemma1;
-use fc_coop::{certified_descent, CancelToken, CoopStructure, ParamMode};
+use fc_coop::{CoopStructure, ParamMode};
 use fc_geom::cooploc::locate_coop;
 use fc_geom::septree::{locate_sequential, SeparatorTree};
 use fc_geom::subdivision::{MonotoneSubdivision, SubdivisionParams};
@@ -131,42 +130,6 @@ fn prop_fc_search_agrees() {
                 search_path_fc(&fc, &path, y, None),
                 search_path_naive(&tree, &path, y, None)
             );
-        }
-    });
-}
-
-/// The served read path (`certified_descent`) equals the per-node
-/// `partition_point` oracle on balanced, path, caterpillar, and
-/// single-heavy shapes.
-#[test]
-fn prop_certified_descent_agrees() {
-    cases(16, |rng| {
-        let total = rng.gen_range(64usize..3000);
-        let tree = match rng.gen_range(0..4) {
-            0 => gen::balanced_binary(rng.gen_range(0u32..8), total, SizeDist::Uniform, rng),
-            1 => gen::path(rng.gen_range(1usize..40), total, SizeDist::Uniform, rng),
-            2 => gen::caterpillar(rng.gen_range(1usize..24), total, rng),
-            _ => {
-                let heavy = rng.gen_range(0.0f64..0.95);
-                gen::balanced_binary(6, total, SizeDist::SingleHeavy(heavy), rng)
-            }
-        };
-        let st = CoopStructure::preprocess(tree, ParamMode::Auto);
-        let cancel = CancelToken::new();
-        let mut out = Vec::new();
-        for _ in 0..8 {
-            let leaf = gen::random_leaf(st.tree(), rng);
-            let path = st.tree().path_from_root(leaf);
-            let y = rng.gen_range(-10..(total as i64) * 16 + 10);
-            certified_descent(&st, &path, y, &cancel, &mut out).expect("clean structure certifies");
-            let oracle: Vec<Option<i64>> = path
-                .iter()
-                .map(|&v| {
-                    let cat = st.tree().catalog(v);
-                    cat.get(cat.partition_point(|k| *k < y)).copied()
-                })
-                .collect();
-            assert_eq!(out, oracle, "y {y}");
         }
     });
 }

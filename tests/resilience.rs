@@ -1,20 +1,23 @@
 //! End-to-end resilience properties: every injected corruption is caught
 //! with non-empty localized blame, the inject → detect → repair round trip
-//! restores `invariants::validate`, checked searches and the served
-//! certified descent never return silently wrong answers on tampered
-//! structures, and processor deaths mid-search degrade gracefully.
+//! restores `invariants::validate`, checked searches never return silently
+//! wrong answers on tampered structures, the served read answers the
+//! oracle of the un-faulted tree under every fault kind, and processor
+//! deaths mid-search degrade gracefully.
 
 use fc_catalog::gen::{self, SizeDist};
 use fc_catalog::invariants;
 use fc_catalog::search::search_path_naive;
-use fc_catalog::{FcError, NodeId};
+use fc_catalog::{CatalogTree, NodeId};
 use fc_coop::explicit::{coop_search_explicit, coop_search_explicit_checked};
 use fc_coop::general::binarize;
-use fc_coop::{certified_descent, CancelToken, CoopStructure, ParamMode};
+use fc_coop::{CoopStructure, ParamMode};
 use fc_pram::{Model, Pram};
 use fc_resilience::{audit, repair, Fault, FaultPlan, FaultSpec};
+use fc_serve::{ServeConfig, Service};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::time::Duration;
 
 /// The shape sweep every property runs over: balanced binary trees under
 /// all catalog-size distributions, plus binarized d-ary and skewed shapes.
@@ -190,25 +193,26 @@ fn checked_search_never_answers_wrong_on_tampered_structure() {
     assert!(flagged > 0, "no query ever crossed a tampered bridge");
 }
 
-fn native_oracle(st: &CoopStructure<i64>, path: &[NodeId], y: i64) -> Vec<Option<i64>> {
-    path.iter()
+fn tree_oracle(tree: &CatalogTree<i64>, leaf: NodeId, y: i64) -> Vec<Option<i64>> {
+    tree.path_from_root(leaf)
+        .iter()
         .map(|&v| {
-            let cat = st.tree().catalog(v);
+            let cat = tree.catalog(v);
             cat.get(cat.partition_point(|k| *k < y)).copied()
         })
         .collect()
 }
 
-/// Property: under every structural fault kind, the served read path
-/// (`certified_descent`) returns the native oracle's answer or a typed
-/// `FcError` — never a wrong answer. A query aimed at a perturbed
-/// `native_succ` entry is always caught: the `O(1)` bracket check catches
-/// per query what the checked cooperative search leaves to the audit.
+/// Property: under every structural fault kind, published through
+/// `Service::inject` and left unrepaired, the served read answers every
+/// query `Ok` with the per-node oracle of the original, un-faulted tree.
+/// Besides random queries, one query is aimed at each corrupted augmented
+/// entry: `y` is that entry's clean key, so a descent through the derived
+/// data would land on it.
 #[test]
-fn certified_descent_is_typed_or_correct_under_every_fault_kind() {
+fn served_read_is_correct_under_every_fault_kind() {
     let mut rng = SmallRng::seed_from_u64(3031);
     let tree = gen::balanced_binary(8, 8000, SizeDist::Uniform, &mut rng);
-    let st = CoopStructure::preprocess(tree, ParamMode::Auto);
     let one = |f: fn(&mut FaultSpec)| {
         let mut spec = FaultSpec::default();
         f(&mut spec);
@@ -222,50 +226,56 @@ fn certified_descent_is_typed_or_correct_under_every_fault_kind() {
         ("NativeSuccPerturb", one(|s| s.native_succ_perturbs = 12)),
         ("SkeletonPerturb", one(|s| s.skeleton_perturbs = 6)),
     ];
-    let cancel = CancelToken::new();
-    let mut out = Vec::new();
-    let mut flagged = 0usize;
+    let cfg = ServeConfig {
+        workers: 1,
+        audit_interval: Duration::from_secs(3600),
+        default_deadline: Duration::from_secs(10),
+        ..ServeConfig::default()
+    };
     for (name, spec) in kinds {
-        for seed in 0..6u64 {
-            let mut tampered = st.clone();
-            let plan = FaultPlan::generate(&tampered, &spec, 400 + seed);
-            assert!(plan.structural_len() > 0, "{name} seed {seed}: no site");
-            plan.apply(&mut tampered);
-            for _ in 0..60 {
-                let leaf = gen::random_leaf(tampered.tree(), &mut rng);
-                let path = tampered.tree().path_from_root(leaf);
-                let y = rng.gen_range(-10..8000i64 * 16 + 10);
-                match certified_descent(&tampered, &path, y, &cancel, &mut out) {
-                    Ok(()) => assert_eq!(
-                        out,
-                        native_oracle(&tampered, &path, y),
-                        "{name} seed {seed}: certified descent answered wrong"
-                    ),
-                    Err(FcError::Cancelled) => panic!("{name}: a live token cancelled"),
-                    Err(_) => flagged += 1,
-                }
+        let svc = Service::start(tree.clone(), ParamMode::Auto, cfg.clone());
+        let clean = svc.snapshot();
+        let plan = svc.inject(&spec, 400);
+        assert!(plan.structural_len() > 0, "{name}: no site");
+        let served = svc.snapshot();
+        assert!(!audit(&served.st).is_clean(), "{name}: fault not published");
+
+        let mut queries: Vec<(NodeId, i64)> = (0..200)
+            .map(|_| {
+                let leaf = gen::random_leaf(&tree, &mut rng);
+                (leaf, rng.gen_range(-10..8000i64 * 16 + 10))
+            })
+            .collect();
+        for fault in &plan.faults {
+            let (node, entry) = match *fault {
+                Fault::KeySwap { node, entry }
+                | Fault::KeyClobber { node, entry }
+                | Fault::BridgePerturb { node, entry, .. }
+                | Fault::NativeSuccPerturb { node, entry, .. } => (node, entry),
+                _ => continue,
+            };
+            let mut v = NodeId(node);
+            let Some(&y) = clean.st.cascade().keys(v).get(entry) else {
+                continue;
+            };
+            while let Some(&c) = tree.children(v).first() {
+                v = c;
             }
-            // Aim one query at each perturbed rank: `y` is the clean
-            // augmented key at the entry, so the descent lands on it.
-            for fault in &plan.faults {
-                let Fault::NativeSuccPerturb { node, entry, .. } = *fault else {
-                    continue;
-                };
-                let mut v = NodeId(node);
-                let y = st.cascade().keys(v)[entry];
-                while let Some(&c) = tampered.tree().children(v).first() {
-                    v = c;
-                }
-                let path = tampered.tree().path_from_root(v);
-                let res = certified_descent(&tampered, &path, y, &cancel, &mut out);
-                assert!(
-                    matches!(res, Err(FcError::CorruptCatalog { .. })),
-                    "{name} seed {seed}: perturbed rank at node {node} entry {entry} not caught: {res:?}"
-                );
-            }
+            queries.push((v, y));
         }
+        for (leaf, y) in queries {
+            let ok = svc
+                .query_blocking(leaf, y, None)
+                .unwrap_or_else(|e| panic!("{name}: query y={y} failed: {e}"));
+            assert_eq!(ok.gen.id, served.id, "{name}: served by another generation");
+            assert_eq!(
+                ok.answers,
+                tree_oracle(&tree, leaf, y),
+                "{name}: served read answered wrong at y={y}"
+            );
+        }
+        svc.shutdown();
     }
-    assert!(flagged > 0, "no random query ever hit a fault");
 }
 
 /// Property: killing processors mid-search yields the exact answer, and the

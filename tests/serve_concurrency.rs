@@ -115,7 +115,6 @@ fn readers_progress_and_match_generation_oracles_under_rebuild_storm() {
                     let ok = svc
                         .query_blocking(leaf, y, None)
                         .unwrap_or_else(|e| panic!("reader {t} query {i}: {e}"));
-                    assert!(!ok.degraded, "no corruption injected here");
                     assert_eq!(ok.path, ok.gen.st.tree().path_from_root(leaf));
                     assert_eq!(
                         ok.answers,
@@ -171,6 +170,6 @@ fn readers_progress_and_match_generation_oracles_under_rebuild_storm() {
     assert_eq!(stats.completed_exact, READERS * QUERIES_PER_READER);
     assert_eq!(stats.timeouts, 0);
     assert_eq!(stats.shed, 0);
-    assert_eq!(stats.corruption_detected, 0, "clean run must not blame");
+    assert_eq!(stats.audits_dirty, 0, "clean run must not blame");
     assert!(stats.generations_published >= published);
 }

@@ -4,7 +4,7 @@
 //! The centerpiece is the **kill -9 gate**: the parent test re-execs this
 //! very test binary as a child cluster process (filtered to
 //! [`crash_child_driver`]), which builds a durable cluster, splits a
-//! shard, quarantines a replica, streams durable update batches — acking
+//! shard, streams durable update batches — acking
 //! each on stdout *after* its WAL append returns — and then dies by
 //! `std::process::abort()` (SIGABRT: no destructors, no flushes, the
 //! process-level equivalent of `kill -9`) mid-storm. The parent
@@ -15,9 +15,9 @@
 //! * answers equal the sequential oracle (original tree + acked ops) on
 //!   probes inside **every** recovered shard range.
 //!
-//! Around the gate sit regression tests for the uglier corners: a
-//! quarantined replica plus a WAL caught mid-rotation (duplicated final
-//! record in a fresh segment) must recover cleanly through idempotent
+//! Around the gate sit regression tests for the uglier corners: a WAL
+//! caught mid-rotation (duplicated final record in a fresh segment)
+//! written by a two-replica shard must recover cleanly through idempotent
 //! sequence-number replay; fully corrupt snapshots and a missing middle
 //! WAL segment must refuse with *typed* errors — never a panic, never a
 //! silently smaller cluster.
@@ -112,9 +112,6 @@ fn crash_child_driver() {
         .expect("child: split io")
         .expect("child: split refused");
     println!("TABLE_VERSION {v}");
-    // Chaos: distrust one replica entirely; queries must fail over while
-    // the update stream keeps appending.
-    assert!(dc.cluster().force_quarantine_replica(0, 1));
     let leaves = dc.cluster().leaves();
     let leaf = leaves[0];
     for (i, (node, key)) in crash_ops(&tree, leaf).iter().enumerate() {
@@ -256,11 +253,10 @@ fn kill9_crash_recovery_gate() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// Regression: a replica quarantined while a shard's WAL sits
-/// mid-rotation (final record duplicated into a fresh segment — exactly
-/// what a crash between "write new segment" and "advance" leaves) must
-/// cold-start cleanly, with the duplicate skipped by sequence-number
-/// idempotency, not applied twice.
+/// Regression: a shard whose WAL sits mid-rotation (final record
+/// duplicated into a fresh segment — exactly what a crash between "write
+/// new segment" and "advance" leaves) must cold-start cleanly, with the
+/// duplicate skipped by sequence-number idempotency, not applied twice.
 #[test]
 fn quarantined_replica_and_half_rotated_wal_recover() {
     let dir = tmp("halfrot");
@@ -272,9 +268,6 @@ fn quarantined_replica_and_half_rotated_wal_recover() {
     for &k in &keys {
         dc.update_batch(&[UpdateOp::Insert(node, k)]).unwrap();
     }
-    // Quarantine a whole replica, then keep writing: the durable log
-    // must not care about serving-side health.
-    assert!(dc.cluster().force_quarantine_replica(0, 0));
     let extra: Vec<i64> = (0..10).map(|i| 61_000_000 + i * 11).collect();
     for &k in &extra {
         dc.update_batch(&[UpdateOp::Insert(node, k)]).unwrap();
@@ -377,6 +370,18 @@ fn newest_generations(dir: &std::path::Path, epoch: u64, shards: usize) -> Vec<u
         .collect()
 }
 
+/// One acked insert of a fresh key into each shard of a 2-shard cluster,
+/// so the next checkpoint has buffered changes to drain.
+fn insert_into_both_shards(dc: &DurableCluster<i64>, node: NodeId, round: i64) {
+    let keys = [-1 - round, 90_000_000 + round];
+    let state = dc.cluster().state();
+    let owners: Vec<usize> = keys.iter().map(|k| state.table.shard_of(k)).collect();
+    assert_eq!(owners, vec![0, 1], "one key per shard");
+    for k in keys {
+        dc.update_batch(&[UpdateOp::Insert(node, k)]).unwrap();
+    }
+}
+
 /// The logical generation a shard persists only moves forward, across a
 /// cold start too: recovery resumes from the snapshot's generation, and
 /// the restarted replicas count on from the recovered one.
@@ -384,8 +389,10 @@ fn newest_generations(dir: &std::path::Path, epoch: u64, shards: usize) -> Vec<u
 fn logical_generation_increases_across_cold_start() {
     let dir = tmp("generation");
     let tree = crash_tree();
+    let node = tree.root();
     let dc = DurableCluster::create(&dir, &tree, ParamMode::Auto, cfg(2, 2), no_fsync()).unwrap();
-    for _ in 0..3 {
+    for round in 0..3 {
+        insert_into_both_shards(&dc, node, round);
         dc.checkpoint().unwrap();
     }
     let before = newest_generations(&dir, 1, 2);
@@ -395,6 +402,7 @@ fn logical_generation_increases_across_cold_start() {
     let (dc, _) =
         DurableCluster::<i64>::cold_start(&dir, ParamMode::Auto, cfg(2, 2), no_fsync()).unwrap();
     let recovered = newest_generations(&dir, 1, 2);
+    insert_into_both_shards(&dc, node, 3);
     dc.checkpoint().unwrap();
     let after = newest_generations(&dir, 1, 2);
     for shard in 0..2 {
