@@ -140,7 +140,6 @@ pub fn measure_serve(n: usize) -> Snapshot {
         queue_cap: n + LATENCY_SAMPLE,
         default_deadline: Duration::from_secs(30),
         audit_interval: Duration::from_secs(3600),
-        processors: 1 << 10,
         ..ServeConfig::default()
     };
     let t0 = Instant::now();
@@ -202,7 +201,6 @@ pub fn measure_shard(n: usize) -> Snapshot {
             queue_cap: n + LATENCY_SAMPLE,
             default_deadline: Duration::from_secs(30),
             audit_interval: Duration::from_secs(3600),
-            processors: 1 << 10,
             ..ServeConfig::default()
         },
         batch_threads: cores,
@@ -654,7 +652,6 @@ pub fn measure_net(n: usize) -> Snapshot {
             queue_cap: n + LATENCY_SAMPLE,
             default_deadline: Duration::from_secs(30),
             audit_interval: Duration::from_secs(3600),
-            processors: 1 << 10,
             ..ServeConfig::default()
         },
         batch_threads: cores,

@@ -54,6 +54,7 @@ use fc_pram::cost::Pram;
 use fc_pram::primitives::lower_bound;
 use fc_pram::shadow::Tracer;
 use rayon::prelude::*;
+use std::sync::Arc;
 
 /// Flat structure-of-arrays storage for every node's augmented catalog,
 /// native-successor table, and bridge rows (DESIGN.md §14).
@@ -352,9 +353,13 @@ struct NodeBuf<K> {
 }
 
 /// The fractional cascaded data structure over a [`CatalogTree`].
+///
+/// The tree is held behind an `Arc`, so a structure built with
+/// [`CascadedTree::build_bidir_shared`] shares the native catalogs with
+/// its caller instead of copying them.
 #[derive(Debug, Clone)]
 pub struct CascadedTree<K> {
-    tree: CatalogTree<K>,
+    tree: Arc<CatalogTree<K>>,
     arena: CascadeArena<K>,
     sample: usize,
 }
@@ -431,16 +436,26 @@ impl<K: CatalogKey> CascadedTree<K> {
     /// node with a tiny catalog would receive every skeleton tree's key on
     /// the same entry).
     pub fn build_bidir(tree: CatalogTree<K>, sample: usize) -> Self {
+        Self::build_bidir_inner(Arc::new(tree), sample, None)
+    }
+
+    /// [`CascadedTree::build_bidir`] over a tree the caller keeps: the
+    /// structure holds a second reference to `tree`, not a copy.
+    pub fn build_bidir_shared(tree: Arc<CatalogTree<K>>, sample: usize) -> Self {
         Self::build_bidir_inner(tree, sample, None)
     }
 
     /// [`CascadedTree::build_bidir`] with EREW cost accounting (two
     /// level-synchronous sweeps instead of one).
     pub fn build_bidir_cost(tree: CatalogTree<K>, sample: usize, pram: &mut Pram) -> Self {
-        Self::build_bidir_inner(tree, sample, Some(pram))
+        Self::build_bidir_inner(Arc::new(tree), sample, Some(pram))
     }
 
-    fn build_bidir_inner(tree: CatalogTree<K>, sample: usize, mut pram: Option<&mut Pram>) -> Self {
+    fn build_bidir_inner(
+        tree: Arc<CatalogTree<K>>,
+        sample: usize,
+        mut pram: Option<&mut Pram>,
+    ) -> Self {
         assert!(sample >= 2, "sampling factor must be at least 2");
         assert!(
             sample > tree.max_degree() + 1,
@@ -691,7 +706,7 @@ impl<K: CatalogKey> CascadedTree<K> {
         }
         Ok(CascadedTree {
             arena: CascadeArena::publish(done),
-            tree,
+            tree: Arc::new(tree),
             sample,
         })
     }
@@ -745,7 +760,7 @@ impl<K: CatalogKey> CascadedTree<K> {
         }
         Ok(CascadedTree {
             arena: CascadeArena::publish(done),
-            tree,
+            tree: Arc::new(tree),
             sample,
         })
     }
@@ -753,6 +768,12 @@ impl<K: CatalogKey> CascadedTree<K> {
     /// The underlying tree.
     #[inline]
     pub fn tree(&self) -> &CatalogTree<K> {
+        &self.tree
+    }
+
+    /// The underlying tree as the shared handle the structure holds.
+    #[inline]
+    pub fn shared_tree(&self) -> &Arc<CatalogTree<K>> {
         &self.tree
     }
 

@@ -41,4 +41,4 @@ pub use cascade::{BridgeRows, CascadeArena, CascadedNodeMut, CascadedNodeRef, Ca
 pub use error::FcError;
 pub use key::CatalogKey;
 pub use search::{search_path_fc, search_path_fc_into, search_path_naive, PathSearchOutput};
-pub use tree::{CatalogTree, NodeId};
+pub use tree::{CatalogTree, NodeId, UpdateOp};

@@ -32,6 +32,15 @@ impl NodeId {
 /// Sentinel parent word for the root (no parent).
 const NO_PARENT: u32 = u32::MAX;
 
+/// One catalog update, as [`CatalogTree::apply_batch`] takes it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum UpdateOp<K> {
+    /// Insert `key` into `node`'s catalog.
+    Insert(NodeId, K),
+    /// Delete `key` from `node`'s catalog.
+    Remove(NodeId, K),
+}
+
 /// A rooted ordered tree with catalogs, in structure-of-arrays layout.
 ///
 /// All per-node arrays are parallel and indexed by [`NodeId`]; the child
@@ -217,6 +226,102 @@ impl<K: CatalogKey> CatalogTree<K> {
     #[inline]
     pub fn total_catalog_size(&self) -> usize {
         self.catalog_flat.len()
+    }
+
+    /// Apply `ops` in order with set semantics (inserting a present key or
+    /// removing an absent one changes nothing) and return the new tree
+    /// with the number of catalog entries that changed. One pass: the
+    /// untouched spans of the flat catalog array are copied in bulk, each
+    /// touched node's catalog is merged with the last op on each of its
+    /// keys, the catalog offsets shift by the running size change, and
+    /// the shape arrays are cloned — `O(n + m log m)` for `n` entries and
+    /// `m` ops.
+    ///
+    /// # Panics
+    /// Panics if an op names a node outside the tree, or if the catalogs
+    /// outgrow the `u32` spans.
+    pub fn apply_batch(&self, ops: &[UpdateOp<K>]) -> (Self, usize) {
+        let n = self.len();
+        // The last op on a (node, key) decides whether the key is present:
+        // sort newest-first within each pair and keep the first.
+        let mut edits: Vec<(u32, K, usize, bool)> = ops
+            .iter()
+            .enumerate()
+            .map(|(i, op)| match *op {
+                UpdateOp::Insert(node, key) => (node.0, key, i, true),
+                UpdateOp::Remove(node, key) => (node.0, key, i, false),
+            })
+            .collect();
+        edits.sort_unstable_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)).then(b.2.cmp(&a.2)));
+        edits.dedup_by_key(|e| (e.0, e.1));
+
+        let inserts = edits.iter().filter(|e| e.3).count();
+        let mut flat = Vec::with_capacity(self.catalog_flat.len() + inserts);
+        let mut cat_off = Vec::with_capacity(n + 1);
+        let mut changed = 0usize;
+        let mut next = 0usize; // first node whose span is not yet written
+        let mut rest = edits.as_slice();
+        while let Some(&(node, ..)) = rest.first() {
+            let v = node as usize;
+            assert!(v < n, "update names node {v} outside a tree of {n} nodes");
+            self.copy_spans(next, v, &mut flat, &mut cat_off);
+            let run = rest.iter().take_while(|e| e.0 == node).count();
+            let (mine, later) = rest.split_at(run);
+            rest = later;
+            cat_off.push(flat.len() as u32);
+            let cat = self.catalog(NodeId(node));
+            let mut i = 0usize;
+            for &(_, key, _, insert) in mine {
+                let j = i + cat[i..].partition_point(|k| *k < key);
+                flat.extend_from_slice(&cat[i..j]);
+                i = j;
+                let present = cat.get(i) == Some(&key);
+                if present {
+                    i += 1;
+                }
+                if insert {
+                    debug_assert!(key < K::SUPREMUM, "catalogs must not store the SUPREMUM");
+                    flat.push(key);
+                }
+                if present != insert {
+                    changed += 1;
+                }
+            }
+            flat.extend_from_slice(&cat[i..]);
+            next = v + 1;
+        }
+        self.copy_spans(next, n, &mut flat, &mut cat_off);
+        cat_off.push(flat.len() as u32);
+        // Every offset is at most the final length, so no cast above
+        // truncated if this holds.
+        assert!(
+            flat.len() < u32::MAX as usize,
+            "catalog total exceeds u32 spans"
+        );
+        let tree = CatalogTree {
+            parents: self.parents.clone(),
+            depths: self.depths.clone(),
+            children_flat: self.children_flat.clone(),
+            child_off: self.child_off.clone(),
+            catalog_flat: flat,
+            cat_off,
+            root: self.root,
+        };
+        (tree, changed)
+    }
+
+    /// Append the catalogs of nodes `from..to` unchanged to `flat`, and
+    /// their offsets, rebased onto `flat`'s current end, to `cat_off`.
+    fn copy_spans(&self, from: usize, to: usize, flat: &mut Vec<K>, cat_off: &mut Vec<u32>) {
+        let lo = self.cat_off[from] as usize;
+        let hi = self.cat_off[to] as usize;
+        let base = flat.len();
+        cat_off.extend(
+            self.cat_off[from..to]
+                .iter()
+                .map(|&off| (base + off as usize - lo) as u32),
+        );
+        flat.extend_from_slice(&self.catalog_flat[lo..hi]);
     }
 
     /// Maximum node degree (number of children).

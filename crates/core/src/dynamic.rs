@@ -41,14 +41,7 @@ use fc_pram::cost::Pram;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-/// One buffered update, for [`DynamicCoop::apply_batch`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UpdateOp<K> {
-    /// Insert `key` into `node`'s catalog.
-    Insert(NodeId, K),
-    /// Delete `key` from `node`'s catalog.
-    Remove(NodeId, K),
-}
+pub use fc_catalog::UpdateOp;
 
 /// Snapshot of the rebuild/generation counters, for the serving layer's
 /// epoch bookkeeping and the amortisation experiments.
@@ -528,8 +521,8 @@ impl<K: CatalogKey> DynamicCoop<K> {
     /// regardless of the buffered-change threshold: drain the insert/delete
     /// buffers into the catalogs **atomically** (the buffers are read once,
     /// under exclusive access, so no half-applied state is observable), then
-    /// re-assert structural cleanliness of the rebuilt cascade. The serving
-    /// layer calls this to cut a fresh generation on demand.
+    /// re-assert structural cleanliness of the rebuilt cascade. Recovery
+    /// calls this once to drain its replay.
     pub fn force_rebuild(&mut self, pram: &mut Pram) {
         let drained = self.changes;
         // Rebuild from the logical catalogs.
@@ -560,7 +553,7 @@ impl<K: CatalogKey> DynamicCoop<K> {
         // Post-rebuild self-audit: the freshly built cascade must satisfy
         // every fractional-cascading invariant. A failure here is a builder
         // bug, not user corruption — it is counted, never panicked on, so
-        // the serving layer can refuse to publish the bad generation.
+        // a caller (recovery) can refuse to serve the bad generation.
         if invariants::validate(&invariants::check_all(self.st.cascade())).is_err() {
             self.gen.audit_failures += 1;
         }
@@ -635,8 +628,8 @@ impl<K: CatalogKey> DynamicCoop<K> {
         (&mut self.ins, &mut self.del, &mut self.changes)
     }
 
-    /// Mutable static structure — repair hook for the serving layer's
-    /// auditor (audit → repair → republish) and for fault injection.
+    /// Mutable static structure — hook for audit-guided repair and for
+    /// fault injection.
     /// Copy on write: when a published generation or a peer replica still
     /// shares the structure, this wrapper first takes a private copy, so
     /// the write never reaches them. Not part of the stable API.

@@ -51,7 +51,7 @@ pub struct SubParams {
 }
 
 /// Full parameter set for a cooperative structure.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CoopParams {
     /// Fan-out constant `b` used in all window formulas. Defaults to the
     /// cascade's guaranteed bound `s_cascade - 1`; may be set to the

@@ -26,7 +26,7 @@ pub const NO_CHILD: u32 = u32::MAX;
 
 /// One unit of a substructure: a height-`<= h_i` subtree of `S'` with its
 /// compacted skeleton forest.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Unit {
     /// The unit's root in the underlying tree.
     pub root: NodeId,
@@ -71,7 +71,7 @@ impl Unit {
 
 /// One substructure `T_i`: all units for hop height `h_i`, plus a map from
 /// unit-root tree nodes to unit ids.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Substructure {
     /// The parameters this substructure was built for.
     pub sp: SubParams,

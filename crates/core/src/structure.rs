@@ -9,6 +9,7 @@ use crate::params::{CoopParams, ParamMode};
 use crate::skeleton::Substructure;
 use fc_catalog::{CascadedTree, CatalogKey, CatalogTree};
 use fc_pram::cost::Pram;
+use std::sync::{Arc, OnceLock};
 
 /// The cooperative search structure `T'` over a balanced binary catalog
 /// tree.
@@ -33,9 +34,32 @@ use fc_pram::cost::Pram;
 /// ```
 #[derive(Debug, Clone)]
 pub struct CoopStructure<K> {
+    tree: Arc<CatalogTree<K>>,
+    mode: ParamMode,
+    /// `S`, the parameters and every `T_i`, built from `tree` on first use
+    /// unless a constructor built them eagerly.
+    derived: OnceLock<Derived<K>>,
+}
+
+/// The part of `T'` that is a function of the native catalogs.
+#[derive(Debug, Clone)]
+struct Derived<K> {
     fc: CascadedTree<K>,
     params: CoopParams,
     subs: Vec<Substructure>,
+}
+
+impl<K: CatalogKey> Derived<K> {
+    fn from_cascade(fc: CascadedTree<K>, mode: ParamMode, b: usize) -> Self {
+        let height = fc.tree().height();
+        let params = CoopParams::derive(b, height, mode);
+        let subs = params
+            .subs
+            .iter()
+            .map(|&sp| Substructure::build(&fc, sp))
+            .collect();
+        Derived { fc, params, subs }
+    }
 }
 
 /// Per-substructure space row for the Lemma 2 experiment.
@@ -53,6 +77,16 @@ pub struct SpaceRow {
     pub units: usize,
 }
 
+/// The sampling factor of `S`: 4, the binary-tree standard.
+const SAMPLE: usize = 4;
+
+fn assert_binary<K: CatalogKey>(tree: &CatalogTree<K>) {
+    assert!(
+        tree.max_degree() <= 2,
+        "CoopStructure requires a binary tree; binarize degree-d trees first (Theorem 3)"
+    );
+}
+
 impl<K: CatalogKey> CoopStructure<K> {
     /// Full preprocessing: build the fractional cascaded structure `S`
     /// (sampling factor 4, the binary-tree standard) and every substructure
@@ -62,14 +96,26 @@ impl<K: CatalogKey> CoopStructure<K> {
     /// Panics if the tree is not binary (use [`crate::general::binarize`]
     /// for higher degrees first, as Theorem 3 prescribes).
     pub fn preprocess(tree: CatalogTree<K>, mode: ParamMode) -> Self {
-        assert!(
-            tree.max_degree() <= 2,
-            "CoopStructure requires a binary tree; binarize degree-d trees first (Theorem 3)"
-        );
-        // The paper applies [1] to the *bidirectional* version of T; the
-        // reverse samples are what make Lemma 1's key disjointness hold.
-        let fc = CascadedTree::build_bidir(tree, 4);
-        Self::from_cascade(fc, mode)
+        let st = Self::deferred(tree, mode);
+        st.derived();
+        st
+    }
+
+    /// Wrap `tree` without preprocessing it: [`CoopStructure::tree`] is
+    /// available at once, and the first call that needs `S`, the
+    /// parameters or a substructure builds all three, bit-identical to
+    /// [`CoopStructure::preprocess`]. The serving stack holds its
+    /// structures this way, so a write publishes native catalogs only.
+    ///
+    /// # Panics
+    /// Panics if the tree is not binary, as [`CoopStructure::preprocess`].
+    pub fn deferred(tree: CatalogTree<K>, mode: ParamMode) -> Self {
+        assert_binary(&tree);
+        CoopStructure {
+            tree: Arc::new(tree),
+            mode,
+            derived: OnceLock::new(),
+        }
     }
 
     /// Preprocess from an existing cascaded structure, using its guaranteed
@@ -84,14 +130,15 @@ impl<K: CatalogKey> CoopStructure<K> {
     /// runtime and fall back to a full binary search on violation, counting
     /// the event).
     pub fn from_cascade_with_b(fc: CascadedTree<K>, mode: ParamMode, b: usize) -> Self {
-        let height = fc.tree().height();
-        let params = CoopParams::derive(b, height, mode);
-        let subs = params
-            .subs
-            .iter()
-            .map(|&sp| Substructure::build(&fc, sp))
-            .collect();
-        CoopStructure { fc, params, subs }
+        Self::with_derived(Derived::from_cascade(fc, mode, b), mode)
+    }
+
+    fn with_derived(derived: Derived<K>, mode: ParamMode) -> Self {
+        CoopStructure {
+            tree: Arc::clone(derived.fc.shared_tree()),
+            mode,
+            derived: OnceLock::from(derived),
+        }
     }
 
     /// Preprocess while charging EREW PRAM cost: the cascade build is
@@ -100,8 +147,8 @@ impl<K: CatalogKey> CoopStructure<K> {
     /// one level per round, all in parallel, with exclusive reads because
     /// Lemma 1 keeps the key sets disjoint).
     pub fn preprocess_cost(tree: CatalogTree<K>, mode: ParamMode, pram: &mut Pram) -> Self {
-        assert!(tree.max_degree() <= 2);
-        let fc = CascadedTree::build_bidir_cost(tree, 4, pram);
+        assert_binary(&tree);
+        let fc = CascadedTree::build_bidir_cost(tree, SAMPLE, pram);
         let height = fc.tree().height();
         let b = fc.fanout_bound();
         let params = CoopParams::derive(b, height, mode);
@@ -115,37 +162,62 @@ impl<K: CatalogKey> CoopStructure<K> {
             }
             subs.push(sub);
         }
-        CoopStructure { fc, params, subs }
+        Self::with_derived(Derived { fc, params, subs }, mode)
+    }
+
+    /// The derived part, built now if no call has needed it yet. The
+    /// paper applies [1] to the *bidirectional* version of T; the reverse
+    /// samples are what make Lemma 1's key disjointness hold.
+    fn derived(&self) -> &Derived<K> {
+        self.derived.get_or_init(|| {
+            let fc = CascadedTree::build_bidir_shared(Arc::clone(&self.tree), SAMPLE);
+            let b = fc.fanout_bound();
+            Derived::from_cascade(fc, self.mode, b)
+        })
+    }
+
+    fn derived_mut(&mut self) -> &mut Derived<K> {
+        self.derived();
+        let cell = self.derived.get_mut();
+        // fc-lint: allow(panic-free) -- the derived() call above initialised the cell
+        cell.expect("derived() initialised the cell")
+    }
+
+    /// Whether `S`, the parameters and the substructures exist yet (see
+    /// [`CoopStructure::deferred`]).
+    pub fn is_derived(&self) -> bool {
+        self.derived.get().is_some()
     }
 
     /// The underlying fractional cascaded structure `S`.
     #[inline]
     pub fn cascade(&self) -> &CascadedTree<K> {
-        &self.fc
+        &self.derived().fc
     }
 
-    /// The underlying catalog tree.
+    /// The underlying catalog tree. Never builds the derived part.
     #[inline]
     pub fn tree(&self) -> &CatalogTree<K> {
-        self.fc.tree()
+        &self.tree
     }
 
     /// The derived parameters.
     #[inline]
     pub fn params(&self) -> &CoopParams {
-        &self.params
+        &self.derived().params
     }
 
     /// All substructures, in increasing hop height.
     #[inline]
     pub fn substructures(&self) -> &[Substructure] {
-        &self.subs
+        &self.derived().subs
     }
 
     /// The substructure serving `p` processors, if any hop height pays off
     /// at that `p`.
     pub fn select(&self, p: usize) -> Option<&Substructure> {
-        self.params.select(p).map(|i| &self.subs[i])
+        let d = self.derived();
+        d.params.select(p).map(|i| &d.subs[i])
     }
 
     /// Mutable cascaded structure — a fault-injection hook for robustness
@@ -154,14 +226,14 @@ impl<K: CatalogKey> CoopStructure<K> {
     /// stable API.
     #[doc(hidden)]
     pub fn cascade_mut_for_fault_injection(&mut self) -> &mut CascadedTree<K> {
-        &mut self.fc
+        &mut self.derived_mut().fc
     }
 
     /// Mutable substructures — fault-injection/repair hook paired with
     /// [`Self::cascade_mut_for_fault_injection`]. Not part of the stable API.
     #[doc(hidden)]
     pub fn substructures_mut_for_fault_injection(&mut self) -> &mut [Substructure] {
-        &mut self.subs
+        &mut self.derived_mut().subs
     }
 
     /// Split borrow for localized repair: the (already repaired) cascade
@@ -169,12 +241,13 @@ impl<K: CatalogKey> CoopStructure<K> {
     /// rebuilt in place. Not part of the stable API.
     #[doc(hidden)]
     pub fn cascade_and_subs_mut_for_repair(&mut self) -> (&CascadedTree<K>, &mut [Substructure]) {
-        (&self.fc, &mut self.subs)
+        let d = self.derived_mut();
+        (&d.fc, &mut d.subs)
     }
 
     /// Per-substructure space breakdown (the Lemma 2 experiment's rows).
     pub fn space_rows(&self) -> Vec<SpaceRow> {
-        self.subs
+        self.substructures()
             .iter()
             .map(|sub| SpaceRow {
                 i: sub.sp.i,
@@ -189,15 +262,20 @@ impl<K: CatalogKey> CoopStructure<K> {
     /// Total words of `T'`: augmented catalogs + bridges + skeleton keys.
     /// Lemma 2: this is `O(n)`.
     pub fn total_space_words(&self) -> usize {
-        let tree = self.fc.tree();
+        let fc = self.cascade();
         let mut words = 0usize;
-        for id in tree.ids() {
-            let aug = self.fc.aug(id);
+        for id in fc.tree().ids() {
+            let aug = fc.aug(id);
             words += aug.keys.len() // keys
                 + aug.native_succ.len() // native successor pointers
                 + aug.bridges.iter().map(<[u32]>::len).sum::<usize>(); // bridges
         }
-        words + self.subs.iter().map(Substructure::space).sum::<usize>()
+        words
+            + self
+                .substructures()
+                .iter()
+                .map(Substructure::space)
+                .sum::<usize>()
     }
 }
 

@@ -101,7 +101,6 @@ fn run() -> i32 {
             workers: 2,
             default_deadline: Duration::from_secs(5),
             audit_interval: Duration::from_millis(250),
-            processors: 1 << 9,
             ..ServeConfig::default()
         },
         batch_threads: 2,

@@ -28,6 +28,7 @@ use crate::audit::{audit, Blame, BlameReport};
 use fc_catalog::{CascadedTree, CatalogKey};
 use fc_coop::CoopStructure;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// Fixpoint bound before the full-rebuild fallback.
 pub const MAX_ROUNDS: usize = 3;
@@ -78,7 +79,8 @@ pub fn repair<K: CatalogKey>(st: &mut CoopStructure<K>, report: &BlameReport) ->
     // Fixpoint did not converge: rebuild everything from the native
     // catalogs, which the fault model treats as authoritative.
     let fc = st.cascade();
-    let rebuilt = CascadedTree::build_bidir(fc.tree().clone(), fc.sample_factor());
+    let rebuilt =
+        CascadedTree::build_bidir_shared(Arc::clone(fc.shared_tree()), fc.sample_factor());
     let mode = st.params().mode;
     let b = st.params().b;
     *st = CoopStructure::from_cascade_with_b(rebuilt, mode, b);

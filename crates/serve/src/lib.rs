@@ -10,15 +10,17 @@
 //!   `partition_point` per path node on the generation's native catalogs:
 //!   the sequential oracle itself. A served query names its leaf, so the
 //!   per-node searches are independent and need no cascade;
-//! * [`epoch::EpochPtr`] — epoch-based hot swap: rebuilds publish with one
-//!   atomic swap, in-flight readers drain on the old generation, and
+//! * [`epoch::EpochPtr`] — epoch-based hot swap: every update batch
+//!   publishes with one atomic swap before it is acked, in-flight readers
+//!   drain on the old generation, and
 //!   retired generations are reclaimed only when every reader slot has
 //!   moved past the retire epoch (readers never block on the writer);
 //! * [`queue::AdmissionQueue`] — bounded admission with immediate load
 //!   shedding;
 //! * a per-query deadline, checked once when a worker picks the query up;
 //! * a background auditor thread running `fc-resilience`'s audit on a
-//!   schedule, repairing the writer state and republishing.
+//!   schedule (building a generation's derived data on first use),
+//!   repairing the writer's structure and republishing.
 //!
 //! The service's contract: **a query either returns an answer equal to the
 //! sequential oracle on the generation that served it, or a typed

@@ -19,9 +19,10 @@
 //! a crash mid-split recovers the old epoch with the old table — never a
 //! half-split cluster. Update durability follows a write-ahead
 //! contract: each batch is routed per shard, appended (fsynced) to the
-//! owning shard's WAL, and only then applied to the in-memory replicas —
-//! an acknowledged [`DurableCluster::update_batch`] is durable when it
-//! returns.
+//! owning shard's WAL, and only then applied to the in-memory replicas,
+//! each of which publishes it before the call returns — an acknowledged
+//! [`DurableCluster::update_batch`] is durable and visible to every query
+//! that starts after it returns.
 //!
 //! Cold start ([`DurableCluster::cold_start`]) reads the manifest,
 //! restores the [`RoutingTable`] at its persisted version (staleness
@@ -97,8 +98,8 @@ fn invalid(reason: impl Into<String>) -> StoreError {
 }
 
 /// Snapshot every shard's published replica-0 generation into per-shard
-/// stores under `epoch-<epoch>/`, creating the stores. Buffers must have
-/// been drained (force-published) by the caller first.
+/// stores under `epoch-<epoch>/`, creating the stores. Every acked update
+/// is already published, so the snapshots hold all of them.
 fn persist_epoch<K: CatalogKey + KeyCodec>(
     cluster: &ShardCluster<K>,
     dir: &Path,
@@ -161,7 +162,7 @@ impl<K: CatalogKey + KeyCodec> DurableCluster<K> {
     /// proven clean refuses the whole cold start with a typed error),
     /// and start each shard's replicas on its recovered, audited
     /// structure. Recovery preprocesses with [`ParamMode::Auto`]; `mode`
-    /// governs the replicas' later rebuilds.
+    /// governs the structures the replicas' later writes publish.
     pub fn cold_start(
         dir: &Path,
         mode: ParamMode,
@@ -217,7 +218,8 @@ impl<K: CatalogKey + KeyCodec> DurableCluster<K> {
 
     /// Apply one update batch durably: route each op to its owner shard,
     /// append (fsynced) to that shard's WAL, then apply to every replica
-    /// in memory. The batch is durable when this returns.
+    /// in memory. The batch is durable, and visible to every query that
+    /// starts after this returns.
     pub fn update_batch(&self, ops: &[UpdateOp<K>]) -> Result<(), StoreError> {
         let st = self.state.lock().unwrap_or_else(|p| p.into_inner());
         let cstate = self.cluster.state();
@@ -251,12 +253,10 @@ impl<K: CatalogKey + KeyCodec> DurableCluster<K> {
         Ok(())
     }
 
-    /// Drain every replica that has buffered changes (force publish) and
-    /// snapshot every shard's published generation in place (same epoch,
-    /// same manifest). A replica with nothing pending is not rebuilt:
-    /// every writer path publishes under the writer lock, so its published
-    /// generation already holds its logical catalogs. Returns the epoch
-    /// the checkpoint landed in.
+    /// Snapshot every shard's published generation in place (same epoch,
+    /// same manifest). No replica is rebuilt: every acked update batch is
+    /// already published, so the published generation holds the shard's
+    /// logical catalogs. Returns the epoch the checkpoint landed in.
     pub fn checkpoint(&self) -> Result<u64, StoreError> {
         let st = self.state.lock().unwrap_or_else(|p| p.into_inner());
         let cstate = self.cluster.state();
@@ -266,10 +266,6 @@ impl<K: CatalogKey + KeyCodec> DurableCluster<K> {
             ));
         }
         for (group, store) in cstate.groups.iter().zip(&st.stores) {
-            for svc in group.iter().filter(|svc| svc.gen_stats().pending > 0) {
-                // fc-lint: allow(lock-discipline) -- intentional: checkpoint must drain+publish every replica with writers held off, or the snapshots diverge
-                svc.force_publish();
-            }
             let svc = group
                 .replica(0)
                 .ok_or_else(|| invalid("shard has no replica to snapshot"))?;
@@ -280,7 +276,7 @@ impl<K: CatalogKey + KeyCodec> DurableCluster<K> {
             // provenance instead of losing the epoch cut.
             // fc-lint: allow(lock-discipline) -- intentional: the marker must land in the same writer-held window as the snapshot it covers
             store.append_rebuild_marker(generation)?;
-            // fc-lint: allow(lock-discipline) -- intentional: snapshot the drained generation before any writer can move it
+            // fc-lint: allow(lock-discipline) -- intentional: snapshot the published generation before any writer can move it
             store.persist_snapshot(snapshot.st.tree(), generation)?;
             store.prune()?;
         }
@@ -296,21 +292,12 @@ impl<K: CatalogKey + KeyCodec> DurableCluster<K> {
     /// `Ok(None)` when the shard cannot split.
     pub fn split_durable(&self, shard: usize) -> Result<Option<u64>, StoreError> {
         let mut st = self.state.lock().unwrap_or_else(|p| p.into_inner());
-        // fc-lint: allow(lock-discipline) -- intentional: the whole split (resplit, drain, persist, manifest commit) is one critical section; a concurrent writer would log to the wrong shard's WAL
+        // fc-lint: allow(lock-discipline) -- intentional: the whole split (resplit, persist, manifest commit) is one critical section; a concurrent writer would log to the wrong shard's WAL
         let Some(version) = self.cluster.split_shard(shard) else {
             return Ok(None);
         };
-        // Drain all buffers so the new epoch's snapshots are complete
-        // (its WALs start empty); a replica with nothing pending already
-        // publishes its logical catalogs (see `checkpoint`).
-        let cstate = self.cluster.state();
-        for group in &cstate.groups {
-            for svc in group.iter().filter(|svc| svc.gen_stats().pending > 0) {
-                // fc-lint: allow(lock-discipline) -- intentional: see the critical-section note at the top of split_durable
-                svc.force_publish();
-            }
-        }
-        drop(cstate);
+        // Every acked update is published, so the new epoch's snapshots
+        // are complete and its WALs start empty.
         let new_epoch = st.epoch + 1;
         // fc-lint: allow(lock-discipline) -- intentional: see the critical-section note at the top of split_durable
         let stores = persist_epoch(&self.cluster, &self.dir, new_epoch, &self.store_cfg)?;
@@ -384,7 +371,6 @@ mod tests {
                 workers: 1,
                 audit_interval: Duration::from_secs(3600),
                 default_deadline: Duration::from_secs(5),
-                processors: 1 << 8,
                 ..ServeConfig::default()
             },
             batch_threads: 2,
@@ -506,8 +492,8 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// A checkpoint with nothing buffered rebuilds no replica, so the
-    /// replicas of a shard keep sharing the structure they started on.
+    /// A checkpoint rebuilds no replica, so the replicas of a shard keep
+    /// sharing the structure they started on.
     #[test]
     fn checkpoint_with_nothing_pending_rebuilds_nothing() {
         let dir = tmp("noopcheckpoint");

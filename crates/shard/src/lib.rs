@@ -5,7 +5,7 @@
 //! contiguous ranges by a versioned [`RoutingTable`]; each range is owned
 //! by a shard, and each shard is a [`ReplicaSet`] of independent
 //! `fc_serve::Service` instances (own workers, auditor, generation chain)
-//! started on one shared, copy-on-write preprocessed structure. On top
+//! started on one shared, copy-on-write structure. On top
 //! sit:
 //!
 //! * [`ShardCluster::query_blocking`] — owner-shard routing with replica

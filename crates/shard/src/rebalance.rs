@@ -4,21 +4,21 @@
 //! — the cluster-level analogue of the single service's load shedding. The
 //! rebalancer scores each shard from its replicas' [`ReplicaHealth`]
 //! (queue saturation plus lifetime shed fraction), and splits the hottest
-//! shard at its median key: the split drains the shard's buffered updates
-//! (`force_publish`), snapshots its authoritative catalogs, builds two new
-//! replica groups over the two half-ranges, and publishes a `ClusterState`
-//! with a `version + 1` routing table through the cluster's epoch pointer.
+//! shard at its median key: the split snapshots the shard's authoritative
+//! catalogs, builds two new replica groups over the two half-ranges, and
+//! publishes a `ClusterState` with a `version + 1` routing table through
+//! the cluster's epoch pointer.
 //!
 //! ## Protocol (and why it is safe mid-traffic)
 //!
 //! 1. Take the cluster `update_lock` — updates and other splits are
 //!    serialized; queries are **not** blocked (they never take this lock).
-//! 2. `force_publish` every replica of the victim shard, so the snapshot
-//!    read in step 3 contains every update routed up to the lock.
-//! 3. Snapshot one replica's generation; collect its keys; pick the
-//!    median. Bail (return `None`) if the shard cannot split (fewer than
-//!    two distinct keys, or the table refuses a degenerate cut).
-//! 4. Build the two half-groups from the snapshot, splice them into a new
+//! 2. Snapshot one replica's generation: every update batch publishes
+//!    before it returns, so it holds every update routed up to the lock.
+//!    Collect its keys and pick the median. Bail (return `None`) if the
+//!    shard cannot split (fewer than two distinct keys, or the table
+//!    refuses a degenerate cut).
+//! 3. Build the two half-groups from the snapshot, splice them into a new
 //!    group vector, and publish `(table.split(..), groups')` atomically.
 //!
 //! In-flight queries pinned the *old* state: they keep routing with the
@@ -69,11 +69,6 @@ impl<K: CatalogKey> ShardCluster<K> {
         let _g = self.update_lock.lock().unwrap_or_else(|p| p.into_inner());
         let state = self.state();
         let group = state.groups.get(shard)?;
-        // Drain buffered updates so the snapshot is complete.
-        for svc in group.iter() {
-            // fc-lint: allow(lock-discipline) -- intentional: update_lock serializes splits against update_batch; the drain must complete with writers held off
-            svc.force_publish();
-        }
         let gen = group.replica(0)?.snapshot();
         let tree = gen.st.tree();
         let mut keys: Vec<K> = tree
@@ -86,9 +81,9 @@ impl<K: CatalogKey> ShardCluster<K> {
         let table = state.table.split(shard, median)?;
         // Build the two half-groups from the authoritative snapshot; the
         // other shards' groups are shared (Arc) with the old state.
-        // fc-lint: allow(lock-discipline) -- intentional: the half-groups build from the drained snapshot inside the split critical section
+        // fc-lint: allow(lock-discipline) -- intentional: the half-groups build from the snapshot inside the split critical section
         let left = Arc::new(build_group(tree, &table, shard, self.mode(), &self.cfg));
-        // fc-lint: allow(lock-discipline) -- intentional: the half-groups build from the drained snapshot inside the split critical section
+        // fc-lint: allow(lock-discipline) -- intentional: the half-groups build from the snapshot inside the split critical section
         let right = Arc::new(build_group(tree, &table, shard + 1, self.mode(), &self.cfg));
         let mut groups = Vec::with_capacity(state.groups.len() + 1);
         for (i, g) in state.groups.iter().enumerate() {
@@ -136,7 +131,6 @@ mod tests {
                 workers: 1,
                 audit_interval: Duration::from_secs(3600),
                 default_deadline: Duration::from_secs(5),
-                processors: 1 << 8,
                 ..ServeConfig::default()
             },
             batch_threads: 2,
@@ -177,6 +171,24 @@ mod tests {
             assert_eq!(ok.answers, full_oracle(leaf, y), "query {i} y={y}");
             assert_eq!(ok.table_version, v1);
         }
+        cluster.shutdown();
+    }
+
+    /// With nothing written, a split republishes none of the victim's
+    /// replicas: their generation counters and published ids stay put.
+    #[test]
+    fn split_right_after_start_leaves_the_victim_replicas_untouched() {
+        let mut rng = SmallRng::seed_from_u64(67);
+        let tree = gen::balanced_binary(5, 1200, SizeDist::Uniform, &mut rng);
+        let cluster = crate::ShardCluster::start(&tree, ParamMode::Auto, cfg());
+        let victim = std::sync::Arc::clone(&cluster.state().groups[0]);
+        assert!(cluster.split_shard(0).is_some(), "split must succeed");
+        for svc in victim.iter() {
+            let gs = svc.gen_stats();
+            assert_eq!((gs.generation, gs.rebuilds), (0, 0));
+            assert_eq!(svc.snapshot().id, 0, "the split republished a replica");
+        }
+        drop(victim);
         cluster.shutdown();
     }
 

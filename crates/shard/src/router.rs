@@ -164,27 +164,29 @@ pub struct ShardStats {
 
 /// Aggregated write-path counters, summed over one representative replica
 /// (replica 0) per shard — every replica of a shard applies the same ops,
-/// so one representative reflects the shard. All zeros outside `fc-dyn`
-/// incremental mode except `rebuilds`.
+/// so one representative reflects the shard. Only `rebuilds` counts
+/// anything: the fc-dyn counters are kept until the benchmark stops
+/// reading them, and read 0.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClusterWriteStats {
-    /// Updates applied on the incremental fast path.
+    /// Always 0 (fc-dyn's incremental applies; no replica runs fc-dyn).
     pub incremental_applies: u64,
-    /// Clone-and-rebuild fallbacks (density violation or corruption).
+    /// Always 0 (fc-dyn's clone-and-rebuild fallbacks).
     pub fallback_rebuilds: u64,
-    /// All rebuilds (threshold, forced, and fallback).
+    /// Update batches that changed a shard's catalogs, each published as
+    /// a new tree (see `Service::gen_stats`).
     pub rebuilds: u64,
-    /// Cumulative per-key-touched cost of the incremental applies.
+    /// Always 0 (fc-dyn's per-key-touched cost).
     pub keys_touched: u64,
-    /// Live native entries across the shard cascades (gauge).
+    /// Always 0 (fc-dyn's live-entry gauge).
     pub live_entries: u64,
-    /// Tombstoned slots awaiting compaction (gauge).
+    /// Always 0 (fc-dyn's tombstone gauge).
     pub tombstones: u64,
 }
 
 impl ClusterWriteStats {
     /// Fraction of cascade slots that are tombstones, over the whole
-    /// cluster (0 when empty or outside incremental mode).
+    /// cluster (0 when empty, which it now always is).
     pub fn tombstone_ratio(&self) -> f64 {
         let total = self.live_entries + self.tombstones;
         if total == 0 {
@@ -236,12 +238,12 @@ pub(crate) fn build_group<K: CatalogKey>(
     build_group_from_structure(&st, 0, mode, cfg)
 }
 
-/// Start the replica group for one shard on one preprocessed structure of
-/// the shard's filtered tree, at logical generation `generation`: every
-/// replica shares `st` (one `Arc::clone` each, no copy) until its own
-/// first rebuild, and a repair or fault injection on one replica copies
-/// before it writes, so it never reaches a peer. The cold-start path
-/// passes the structure recovery audited.
+/// Start the replica group for one shard on one structure of the shard's
+/// filtered tree, at logical generation `generation`: every replica shares
+/// `st` (one `Arc::clone` each, no copy) until its own first write, and a
+/// repair or fault injection on one replica copies before it writes, so
+/// it never reaches a peer. The cold-start path passes the structure
+/// recovery audited.
 pub(crate) fn build_group_from_structure<K: CatalogKey>(
     st: &Arc<CoopStructure<K>>,
     generation: u64,
@@ -751,8 +753,9 @@ impl<K: CatalogKey> ShardCluster<K> {
     }
 
     /// Route an update batch: each op goes to the shard owning its key and
-    /// is applied to **every** replica of that shard. Serialized against
-    /// rebalancing, so a split cannot strand buffered ops.
+    /// is applied to **every** replica of that shard, each publishing it
+    /// before this returns. Serialized against rebalancing, so a split
+    /// cannot miss an op.
     pub fn update_batch(&self, ops: &[UpdateOp<K>]) {
         let _g = self.update_lock.lock().unwrap_or_else(|p| p.into_inner());
         let state = self.state();
@@ -910,7 +913,6 @@ mod tests {
                 workers: 1,
                 audit_interval: Duration::from_secs(3600),
                 default_deadline: Duration::from_secs(5),
-                processors: 1 << 8,
                 ..ServeConfig::default()
             },
             batch_threads: 2,
@@ -1059,12 +1061,7 @@ mod tests {
             .collect();
         let ops: Vec<UpdateOp<i64>> = probes.iter().map(|&k| UpdateOp::Insert(node, k)).collect();
         cluster.update_batch(&ops);
-        // Force-publish everywhere, then every probe key must be findable.
-        for g in &state.groups {
-            for svc in g.iter() {
-                svc.force_publish();
-            }
-        }
+        // Acked means published: every probe key is findable at once.
         for &k in &probes {
             let ok = cluster.query_blocking(leaf, k, None).unwrap();
             let hit = ok

@@ -13,9 +13,11 @@
 //!    paths index by node id and debug-assert keys below the supremum, so
 //!    an out-of-range op surfaces as [`StoreError::InvalidOp`] instead of
 //!    a panic.
-//! 3. **Rebuild + audit**: drain the buffers with a forced global rebuild,
-//!    then run the buffer audit and the structural blame audit from
-//!    `fc-resilience`. Any dirt is a typed
+//! 3. **Rebuild + audit**: drain the buffers with a forced global rebuild
+//!    — the one preprocessing of recovery, since the snapshot's tree is
+//!    loaded as a deferred structure whose derived data replay never
+//!    needs — then run the buffer audit and the structural blame audit
+//!    from `fc-resilience`. Any dirt is a typed
 //!    [`StoreError::RecoveryAudit`] — the store never serves a structure
 //!    it cannot prove clean. A clean result hands back the audited
 //!    structure itself ([`Recovered::structure`]), so a caller serves
@@ -82,7 +84,9 @@ pub fn recover<K: CatalogKey + KeyCodec>(dir: &Path) -> Result<Recovered<K>, Sto
     // An infinite rebuild fraction defers every rebuild to the explicit
     // force_rebuild below, so replay cost is one rebuild, not one per
     // buffered fraction — the WAL-vs-rebuild trade DESIGN.md §12 discusses.
-    let st = Arc::new(CoopStructure::preprocess(data.tree, ParamMode::Auto));
+    // Replay reads only the native catalogs, so the snapshot's structure
+    // stays deferred and recovery preprocesses once.
+    let st = Arc::new(CoopStructure::deferred(data.tree, ParamMode::Auto));
     let mut dy = DynamicCoop::wrap(st, data.logical_gen, ParamMode::Auto, f64::INFINITY);
     let mut pram = Pram::new(REPLAY_PROCS, Model::Crew);
     let stats = wal::replay::<K, _>(dir, wal_watermark, |seq, entry| {

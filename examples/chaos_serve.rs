@@ -1,12 +1,14 @@
 //! Chaos harness for the fc-serve query service.
 //!
-//! Drives ≥10⁵ mixed operations — queries, update batches, structural and
-//! dynamic-buffer fault injections, and forced audits — against a running
-//! [`Service`], and asserts the service's core contract: **zero
-//! silently-wrong answers**. Every `Ok` answer is re-checked against the
-//! sequential oracle on the generation that served it; load may cost
-//! *detected* outcomes (timeouts, sheds), never correctness, and the
-//! auditor must catch and repair every injected corruption.
+//! Drives ≥10⁵ mixed operations — queries, update batches, structural
+//! fault injections, and forced audits — against a running [`Service`],
+//! and asserts the service's core contract: **zero silently-wrong
+//! answers**. Every `Ok` answer is re-checked against the sequential
+//! oracle on the generation that served it; load may cost *detected*
+//! outcomes (timeouts, sheds), never correctness, and the auditor must
+//! catch and repair injected corruption. Each update batch publishes
+//! fresh derived data, so every injection is audited before the next
+//! write.
 //!
 //! Run with: `cargo run --release --example chaos_serve`
 
@@ -22,7 +24,7 @@ use std::sync::mpsc::Receiver;
 use std::time::{Duration, Instant};
 
 const TOTAL_OPS: usize = 120_000;
-const INJECT_EVERY: usize = 6_000; // structural/dynamic fault injections
+const INJECT_EVERY: usize = 6_000; // structural fault injections
 const AUDIT_EVERY: usize = 1_000; // explicit auditor wake-ups
 const DRAIN_AT: usize = 384; // in-flight queries before draining
 
@@ -74,7 +76,6 @@ fn main() {
         queue_cap: 512,
         default_deadline: Duration::from_millis(250),
         audit_interval: Duration::from_millis(20),
-        processors: 1 << 10,
         ..ServeConfig::default()
     };
     let svc = Service::start(tree, ParamMode::Auto, cfg);
@@ -90,17 +91,12 @@ fn main() {
 
     for op in 1..=TOTAL_OPS {
         if op % INJECT_EVERY == 0 {
-            // Alternate static-structure corruption (bridges, catalogs,
-            // skeleton keys) with dynamic-path corruption (buffers,
-            // counter); the corrupted snapshot is published like a bad
-            // replica push.
-            let spec = if rng.gen_bool(0.5) {
-                FaultSpec::one_of_each()
-            } else {
-                FaultSpec::one_of_each_dynamic()
-            };
-            let plan = svc.inject(&spec, rng.gen());
-            injections += (plan.structural_len() + plan.dynamic_len()) as u64;
+            // Corrupt the derived data (bridges, augmented keys, skeleton
+            // keys), published like a bad replica push, and audit before
+            // the next write replaces it.
+            let plan = svc.inject(&FaultSpec::one_of_each(), rng.gen());
+            injections += plan.structural_len() as u64;
+            svc.audit_blocking();
         } else if op % AUDIT_EVERY == 0 {
             svc.trigger_audit();
         } else if rng.gen_bool(0.10) {
@@ -152,11 +148,7 @@ fn main() {
         "  audits run/dirty         {}/{}  repairs {}",
         stats.audits_run, stats.audits_dirty, stats.repairs
     );
-    println!(
-        "  generations published    {}  (rebuilds {})",
-        stats.generations_published,
-        svc_rebuilds(&stats)
-    );
+    println!("  generations published    {}", stats.generations_published);
     println!("  SILENTLY WRONG ANSWERS   {}", tally.wrong);
 
     assert_eq!(tally.wrong, 0, "chaos run produced a silently wrong answer");
@@ -172,10 +164,4 @@ fn main() {
         "most queries must be answered despite chaos ({answered}/{queries})"
     );
     println!("chaos_serve: OK — zero silently-wrong answers across {TOTAL_OPS} ops");
-}
-
-fn svc_rebuilds(stats: &fc_serve::ServeStats) -> u64 {
-    // Publishes = rebuilds + repair republishes + injected pushes; the
-    // split is in the printed audit/repair lines above.
-    stats.generations_published
 }

@@ -45,7 +45,6 @@ fn demo_cfg() -> ShardConfig {
             workers: 1,
             audit_interval: Duration::from_secs(3600),
             default_deadline: Duration::from_secs(5),
-            processors: 1 << 8,
             ..ServeConfig::default()
         },
         batch_threads: 2,

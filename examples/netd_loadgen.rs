@@ -87,7 +87,6 @@ fn server_role() -> i32 {
                 workers: 2,
                 default_deadline: Duration::from_secs(5),
                 audit_interval: Duration::from_millis(250),
-                processors: 1 << 9,
                 ..ServeConfig::default()
             },
             batch_threads: 2,

@@ -28,7 +28,6 @@ fn main() {
             workers: 2,
             audit_interval: Duration::from_millis(50),
             default_deadline: Duration::from_secs(5),
-            processors: 1 << 10,
             ..ServeConfig::default()
         },
         batch_threads: 4,

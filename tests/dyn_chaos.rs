@@ -1,26 +1,27 @@
-//! Chaos gate for **incremental dynamic maintenance** under the full
-//! stack (registered under fc-shard in `crates/shard/Cargo.toml`): a
-//! sharded, replicated cluster whose replicas run the fc-dyn write path
-//! (`ServeConfig::incremental`), driven by a mixed read/write storm with
-//! injected corruption and — the centerpiece — a kill -9
-//! mid-write-storm.
+//! Chaos gate for the **served write path** under the full stack
+//! (registered under fc-shard in `crates/shard/Cargo.toml`): a sharded,
+//! replicated cluster whose replicas publish a generation per acked
+//! update batch, driven by a mixed read/write storm with injected
+//! corruption and — the centerpiece — a kill -9 mid-write-storm.
 //!
 //! Two gates:
 //!
 //! * [`incremental_storm_no_silent_wrongness_then_heals`]: mixed queries,
-//!   per-key update batches, fault injections, and audits. Invariants:
-//!   every `Ok` answer equals the sequential oracle *on the generation
-//!   that served it* (wrongness never, staleness allowed), errors are
-//!   typed, the write path stays incremental (no rebuild storms), and
-//!   after the storm settles every shard range answers again.
+//!   update batches, fault injections, and audits. Invariants: every `Ok`
+//!   answer equals the sequential oracle *on the generation that served
+//!   it* (wrongness never), every read that starts after a batch's ack
+//!   sees the batch — its inserts at their nodes, its removes gone — so
+//!   merged answers equal the oracle on the acked catalogs (staleness
+//!   never), errors are typed, and after the storm settles every shard
+//!   range answers again.
 //! * [`kill9_incremental_crash_recovery_gate`]: the parent re-execs this
 //!   test binary as a child cluster process (filtered to
-//!   [`dyn_crash_child_driver`]) with incremental replicas; the child
-//!   streams durable per-key updates — acking each on stdout only *after*
-//!   its WAL append returned — and dies by `std::process::abort()`
-//!   mid-storm. The parent cold-starts the directory and proves every
-//!   acked incremental update survived, answers are oracle-equal, and the
-//!   recovered cluster keeps taking the incremental write path.
+//!   [`dyn_crash_child_driver`]); the child streams durable per-key
+//!   updates — acking each on stdout only *after* its WAL append
+//!   returned — and dies by `std::process::abort()` mid-storm. The parent
+//!   cold-starts the directory and proves every acked update survived,
+//!   answers are oracle-equal, and writes after the cold start are
+//!   visible to the next read.
 
 use fc_catalog::gen::{self, SizeDist};
 use fc_catalog::{CatalogKey, CatalogTree, NodeId};
@@ -32,7 +33,7 @@ use fc_shard::{DurableCluster, ShardCluster, ShardConfig, ShardedOk};
 use fc_store::StoreConfig;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::fs;
 use std::path::PathBuf;
 use std::process::Command;
@@ -70,9 +71,9 @@ fn check_ok(ok: &ShardedOk<i64>, y: i64) {
     assert_eq!(ok.answers, merged, "merged answer must be first-Some");
 }
 
-/// The storm cluster: 4×2, incremental write path, every answer checked
-/// against its generation's oracle.
-fn incr_chaos_cfg() -> ShardConfig {
+/// The storm cluster: 4×2, every answer checked against its generation's
+/// oracle and against the acked catalogs.
+fn chaos_cfg() -> ShardConfig {
     ShardConfig {
         shards: 4,
         replicas: 2,
@@ -81,8 +82,6 @@ fn incr_chaos_cfg() -> ShardConfig {
             queue_cap: 256,
             default_deadline: Duration::from_secs(10),
             audit_interval: Duration::from_millis(40),
-            processors: 1 << 8,
-            incremental: true,
             ..ServeConfig::default()
         },
         batch_threads: 2,
@@ -106,17 +105,48 @@ fn shard_probes(cluster: &ShardCluster<i64>) -> Vec<i64> {
         .collect()
 }
 
+/// The acked catalogs: the unsharded tree's catalogs plus every acked
+/// op, in ack order.
+struct Model(Vec<BTreeSet<i64>>);
+
+impl Model {
+    fn new(tree: &CatalogTree<i64>) -> Self {
+        Model(
+            tree.ids()
+                .map(|id| tree.catalog(id).iter().copied().collect())
+                .collect(),
+        )
+    }
+
+    fn apply(&mut self, ops: &[UpdateOp<i64>]) {
+        for op in ops {
+            match *op {
+                UpdateOp::Insert(node, key) => self.0[node.idx()].insert(key),
+                UpdateOp::Remove(node, key) => self.0[node.idx()].remove(&key),
+            };
+        }
+    }
+
+    fn oracle(&self, path: &[NodeId], y: i64) -> Vec<Option<i64>> {
+        path.iter()
+            .map(|n| self.0[n.idx()].range(y..).next().copied())
+            .collect()
+    }
+}
+
 #[test]
 fn incremental_storm_no_silent_wrongness_then_heals() {
     let mut rng = SmallRng::seed_from_u64(0xD1_C4A0);
     let tree = gen::balanced_binary(6, 3_000, SizeDist::Uniform, &mut rng);
-    let cluster = ShardCluster::start(&tree, ParamMode::Auto, incr_chaos_cfg());
+    let cluster = ShardCluster::start(&tree, ParamMode::Auto, chaos_cfg());
     let leaves = cluster.leaves();
+    let mut model = Model::new(&tree);
 
     let mut ok_count = 0u64;
     let mut err_count = 0u64;
     let mut injected = 0u64;
     let mut writes = 0u64;
+    let mut probes = 0u64;
     for _ in 0..260 {
         match rng.gen_range(0..100) {
             0..=49 => {
@@ -125,17 +155,24 @@ fn incremental_storm_no_silent_wrongness_then_heals() {
                 match cluster.query_blocking(leaf, y, None) {
                     Ok(ok) => {
                         check_ok(&ok, y);
+                        assert_eq!(
+                            ok.answers,
+                            model.oracle(&ok.path, y),
+                            "y={y}: an acked write is not visible"
+                        );
                         ok_count += 1;
                     }
                     Err(_typed) => err_count += 1,
                 }
             }
-            // Per-key update batches — the incremental write path.
+            // Update batches along one root-to-leaf path, then a read of
+            // every written key: each starts after the batch's ack.
             50..=79 => {
                 let leaf = leaves[rng.gen_range(0..leaves.len())];
-                let node = *tree.path_from_root(leaf).first().unwrap();
+                let path = tree.path_from_root(leaf);
                 let ops: Vec<UpdateOp<i64>> = (0..6)
                     .map(|_| {
+                        let node = path[rng.gen_range(0..path.len())];
                         let k = rng.gen_range(0..60_000i64);
                         if rng.gen_bool(0.7) {
                             UpdateOp::Insert(node, k)
@@ -145,7 +182,24 @@ fn incremental_storm_no_silent_wrongness_then_heals() {
                     })
                     .collect();
                 cluster.update_batch(&ops);
+                model.apply(&ops);
                 writes += ops.len() as u64;
+                for op in &ops {
+                    let (UpdateOp::Insert(node, k) | UpdateOp::Remove(node, k)) = *op;
+                    let Ok(ok) = cluster.query_blocking(leaf, k, None) else {
+                        err_count += 1;
+                        continue;
+                    };
+                    check_ok(&ok, k);
+                    let at = ok.path.iter().position(|n| *n == node).expect("on path");
+                    let present = model.0[node.idx()].contains(&k);
+                    assert_eq!(
+                        ok.answers[at] == Some(k),
+                        present,
+                        "{op:?}: the read after its ack disagrees with the acked catalogs"
+                    );
+                    probes += 1;
+                }
             }
             80..=91 => {
                 let state = cluster.state();
@@ -166,21 +220,9 @@ fn incremental_storm_no_silent_wrongness_then_heals() {
     assert!(injected > 0, "the storm must actually inject faults");
     assert!(ok_count > 0, "the storm must actually answer queries");
     assert!(writes > 0, "the storm must actually write");
+    assert!(probes > 0, "the storm must read its own writes");
 
-    let ws = cluster.write_stats();
-    assert!(
-        ws.incremental_applies > 0,
-        "replicas must take the fc-dyn fast path: {ws:?}"
-    );
-    // The fast path, not rebuild storms: strictly fewer rebuilds than
-    // updates (the buffered baseline would rebuild every threshold-trip).
-    assert!(
-        ws.rebuilds < ws.incremental_applies,
-        "incremental mode must not degenerate into rebuild storms: {ws:?}"
-    );
-
-    // Settle: audits repair (incremental cascade dirt heals by the
-    // clone-and-rebuild fallback), then every shard range must answer.
+    // Settle: audits repair, then every shard range must answer.
     while cluster.audit_blocking_all() > 0 {}
     let leaf = leaves[0];
     for (s, probe) in shard_probes(&cluster).iter().enumerate() {
@@ -188,6 +230,7 @@ fn incremental_storm_no_silent_wrongness_then_heals() {
             .query_blocking(leaf, *probe, None)
             .unwrap_or_else(|e| panic!("shard {s} unanswerable after repair: {e}"));
         check_ok(&ok, *probe);
+        assert_eq!(ok.answers, model.oracle(&ok.path, *probe));
     }
     let _ = err_count;
     cluster.shutdown();
@@ -201,8 +244,8 @@ fn tmp(name: &str) -> PathBuf {
     dir
 }
 
-/// Durable config for the crash pair: incremental replicas, no background
-/// audits (determinism), modest worker counts.
+/// Durable config for the crash pair: no background audits
+/// (determinism), modest worker counts.
 fn crash_cfg() -> ShardConfig {
     ShardConfig {
         shards: 3,
@@ -211,8 +254,6 @@ fn crash_cfg() -> ShardConfig {
             workers: 1,
             audit_interval: Duration::from_secs(3600),
             default_deadline: Duration::from_secs(5),
-            processors: 1 << 8,
-            incremental: true,
             ..ServeConfig::default()
         },
         batch_threads: 2,
@@ -276,8 +317,8 @@ fn dyn_crash_child_driver() {
         .expect("child: split io")
         .expect("child: split refused");
     println!("TABLE_VERSION {v}");
-    // Chaos: an injected corruption, while the incremental update stream
-    // keeps appending.
+    // Chaos: an injected corruption, while the update stream keeps
+    // appending.
     let _ = dc.cluster().inject(1, 0, &FaultSpec::one_of_each(), 7);
     let leaves = dc.cluster().leaves();
     let leaf = leaves[0];
@@ -302,7 +343,7 @@ fn dyn_crash_child_driver() {
     unreachable!("child must abort before draining the stream");
 }
 
-/// PARENT SIDE: re-exec this binary as the incremental child cluster, let
+/// PARENT SIDE: re-exec this binary as the child cluster, let
 /// it die by SIGABRT mid-write-storm, cold-start the directory, and prove
 /// the recovery contract (see module docs).
 #[test]
@@ -424,17 +465,22 @@ fn kill9_incremental_crash_recovery_gate() {
     }
     drop(state);
 
-    // (c) The recovered cluster keeps taking the incremental write path.
-    let before = dc.cluster().write_stats();
+    // (c) Writes to the recovered cluster are visible to the next read.
     let fresh: Vec<UpdateOp<i64>> = (0..40)
         .map(|k| UpdateOp::Insert(leaf, 90_000 + k))
         .collect();
     dc.update_batch(&fresh).expect("post-recovery writes");
-    let after = dc.cluster().write_stats();
-    assert!(
-        after.incremental_applies >= before.incremental_applies + 40,
-        "recovered replicas must stay incremental: {before:?} -> {after:?}"
-    );
+    for k in 0..40 {
+        let ok = dc
+            .cluster()
+            .query_blocking(leaf, 90_000 + k, None)
+            .expect("post-recovery read");
+        assert_eq!(
+            ok.answers.last().copied().flatten(),
+            Some(90_000 + k),
+            "a write acked after the cold start is not visible"
+        );
+    }
     dc.shutdown();
     let _ = fs::remove_dir_all(&dir);
 }

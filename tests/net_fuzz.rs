@@ -131,7 +131,6 @@ fn small_cluster(tree: &CatalogTree<i64>) -> Arc<ShardCluster<i64>> {
                 workers: 2,
                 default_deadline: Duration::from_secs(5),
                 audit_interval: Duration::from_millis(500),
-                processors: 1 << 8,
                 ..ServeConfig::default()
             },
             batch_threads: 1,

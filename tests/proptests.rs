@@ -6,7 +6,9 @@
 //!   arbitrary instances, queries, and processor counts;
 //! * Lemma 1 disjointness on the bidirectional structure;
 //! * point location == brute force on arbitrary monotone subdivisions;
-//! * retrieval == brute-force report sets.
+//! * retrieval == brute-force report sets;
+//! * a deferred `CoopStructure` derives exactly what eager preprocessing
+//!   builds, and `CatalogTree::apply_batch` matches a set model.
 //!
 //! Each test draws `CASES` independent instances from a fixed per-test
 //! seed, so any failure is reproducible from the seed arithmetic alone.
@@ -365,16 +367,11 @@ fn prop_dynamic_updates() {
     });
 }
 
-/// Flat-arena cascade vs a nested per-node oracle, across the fc-analyze
-/// shape sweep: every node's `native_succ` table and every bridge row must
-/// bit-match a definitional recomputation (one binary search per entry),
-/// `find_aug` must agree with an audited per-node binary search, and its
-/// composition with `native_succ` must equal the direct lower bound in the
-/// native catalog — for both the downward and the bidirectional builders.
-#[test]
-fn prop_flat_arena_matches_nested_oracle_across_shape_sweep() {
+/// The fc-analyze shape sweep: uniform trees from small to `2^16` keys and
+/// one with 80% of its keys in a single catalog.
+fn shape_sweep() -> [fc_analyze::replay::TreeShape; 4] {
     use fc_analyze::replay::TreeShape;
-    let shapes = [
+    [
         TreeShape {
             height: 4,
             total: 600,
@@ -399,8 +396,18 @@ fn prop_flat_arena_matches_nested_oracle_across_shape_sweep() {
             heavy: None,
             seed: 9004,
         },
-    ];
-    for shape in shapes {
+    ]
+}
+
+/// Flat-arena cascade vs a nested per-node oracle, across the fc-analyze
+/// shape sweep: every node's `native_succ` table and every bridge row must
+/// bit-match a definitional recomputation (one binary search per entry),
+/// `find_aug` must agree with an audited per-node binary search, and its
+/// composition with `native_succ` must equal the direct lower bound in the
+/// native catalog — for both the downward and the bidirectional builders.
+#[test]
+fn prop_flat_arena_matches_nested_oracle_across_shape_sweep() {
+    for shape in shape_sweep() {
         let tree = shape.gen();
         for bidir in [false, true] {
             let fc = if bidir {
@@ -467,4 +474,107 @@ fn prop_flat_arena_matches_nested_oracle_across_shape_sweep() {
             }
         }
     }
+}
+
+/// A deferred structure builds nothing until asked, then derives the
+/// arena, parameters and substructures eager preprocessing builds, across
+/// the shape sweep and both parameter modes.
+#[test]
+fn prop_deferred_structure_derives_what_preprocess_builds() {
+    for shape in shape_sweep() {
+        let tree = shape.gen();
+        for mode in [ParamMode::Auto, ParamMode::Theory] {
+            let eager = CoopStructure::preprocess(tree.clone(), mode);
+            let lazy = CoopStructure::deferred(tree.clone(), mode);
+            assert_eq!(lazy.tree().catalog_flat(), tree.catalog_flat());
+            assert!(!lazy.is_derived(), "{}: tree() built it", shape.label());
+            let (e, l) = (eager.cascade(), lazy.cascade());
+            assert!(lazy.is_derived());
+            assert_eq!(l.sample_factor(), e.sample_factor(), "{}", shape.label());
+            assert!(l.arena() == e.arena(), "{} {mode:?}: arena", shape.label());
+            assert_eq!(lazy.params(), eager.params(), "{} {mode:?}", shape.label());
+            assert!(
+                lazy.substructures() == eager.substructures(),
+                "{} {mode:?}: substructures",
+                shape.label()
+            );
+            assert_eq!(lazy.total_space_words(), eager.total_space_words());
+        }
+    }
+}
+
+/// `CatalogTree::apply_batch` agrees with a per-node `BTreeSet` model fed
+/// the same ops in order: the catalogs, the shape, and the count of
+/// entries that changed. Batches mix inserts of present keys and removes
+/// of absent ones (no-ops), insert-then-remove and remove-then-insert of
+/// one key, ops on empty catalogs, and ops on the first and last node.
+#[test]
+fn prop_apply_batch_matches_set_model() {
+    use fc_catalog::{CatalogTree, NodeId, UpdateOp};
+    use std::collections::BTreeSet;
+    cases(17, |rng| {
+        let height = rng.gen_range(0u32..6);
+        let total = rng.gen_range(0usize..300);
+        let tree = gen::balanced_binary(height, total, SizeDist::Uniform, rng);
+        let nodes = tree.len() as u32;
+        let span = (total as i64 * 16).max(64);
+        let mut model: Vec<BTreeSet<i64>> = tree
+            .ids()
+            .map(|id| tree.catalog(id).iter().copied().collect())
+            .collect();
+        let before = model.clone();
+        let pick_node = |rng: &mut SmallRng| match rng.gen_range(0..4) {
+            0 => NodeId(0),
+            1 => NodeId(nodes - 1),
+            _ => NodeId(rng.gen_range(0..nodes)),
+        };
+        let mut ops: Vec<UpdateOp<i64>> = Vec::new();
+        for _ in 0..rng.gen_range(0usize..60) {
+            let node = pick_node(rng);
+            let present = model[node.idx()].iter().copied().collect::<Vec<_>>();
+            let key = if !present.is_empty() && rng.gen_bool(0.4) {
+                present[rng.gen_range(0..present.len())]
+            } else {
+                rng.gen_range(-span..span)
+            };
+            match rng.gen_range(0..4) {
+                0 => ops.push(UpdateOp::Insert(node, key)),
+                1 => ops.push(UpdateOp::Remove(node, key)),
+                2 => {
+                    ops.push(UpdateOp::Insert(node, key));
+                    ops.push(UpdateOp::Remove(node, key));
+                }
+                _ => {
+                    ops.push(UpdateOp::Remove(node, key));
+                    ops.push(UpdateOp::Insert(node, key));
+                }
+            }
+        }
+        for op in &ops {
+            match *op {
+                UpdateOp::Insert(n, k) => model[n.idx()].insert(k),
+                UpdateOp::Remove(n, k) => model[n.idx()].remove(&k),
+            };
+        }
+        let (after, changed): (CatalogTree<i64>, usize) = tree.apply_batch(&ops);
+        let want_changed: usize = before
+            .iter()
+            .zip(&model)
+            .map(|(b, m)| b.symmetric_difference(m).count())
+            .sum();
+        assert_eq!(changed, want_changed);
+        assert_eq!(after.len(), tree.len());
+        assert_eq!(after.root(), tree.root());
+        for id in tree.ids() {
+            assert_eq!(after.parent(id), tree.parent(id));
+            assert_eq!(after.children(id), tree.children(id));
+            assert_eq!(after.depth(id), tree.depth(id));
+            let want: Vec<i64> = model[id.idx()].iter().copied().collect();
+            assert_eq!(after.catalog(id), &want[..], "node {id:?}");
+        }
+        assert_eq!(
+            after.total_catalog_size(),
+            model.iter().map(BTreeSet::len).sum::<usize>()
+        );
+    });
 }

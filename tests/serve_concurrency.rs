@@ -1,5 +1,5 @@
 //! Concurrency test for `fc-serve`: N reader threads against one updater
-//! doing back-to-back forced rebuilds.
+//! storming `update_batch` with large batches, back to back.
 //!
 //! Asserted invariants:
 //!
@@ -8,11 +8,11 @@
 //!   not on "the latest" structure;
 //! * **Monotone generations** — a client's successive queries never
 //!   observe the published generation going backwards;
-//! * **Reader progress** — queries complete *while* a rebuild is in
-//!   progress. Workers have no code path that takes the writer lock
-//!   (rebuilds clone-and-swap via the epoch pointer), and this test
-//!   observes that: with the updater rebuilding in a tight loop, queries
-//!   still land inside rebuild windows.
+//! * **Reader progress** — queries complete *while* an update holds the
+//!   writer lock. Every `update_batch` holds it from the batch apply to
+//!   the publish; workers have no code path that takes it (a publish is
+//!   one swap of the epoch pointer), and this test observes that: whole
+//!   queries, submit to answer, land inside one update window.
 
 use fc_catalog::gen::{self, SizeDist};
 use fc_catalog::NodeId;
@@ -39,6 +39,9 @@ fn oracle(st: &CoopStructure<i64>, path: &[NodeId], y: i64) -> Vec<Option<i64>> 
 fn readers_progress_and_match_generation_oracles_under_rebuild_storm() {
     const READERS: u64 = 4;
     const QUERIES_PER_READER: u64 = 300;
+    /// Ops per update batch: large enough that applying one takes longer
+    /// than answering a query, so update windows can hold whole queries.
+    const BATCH: usize = 20_000;
 
     let mut rng = SmallRng::seed_from_u64(1201);
     let tree = gen::balanced_binary(7, 6000, SizeDist::Uniform, &mut rng);
@@ -47,54 +50,59 @@ fn readers_progress_and_match_generation_oracles_under_rebuild_storm() {
         queue_cap: 256,
         default_deadline: Duration::from_secs(30),
         audit_interval: Duration::from_millis(50),
-        processors: 1 << 10,
         ..ServeConfig::default()
     };
     let svc = Arc::new(Service::start(tree, ParamMode::Auto, cfg));
     let leaves = Arc::new(svc.snapshot().st.tree().leaves());
     let node_count = svc.snapshot().st.tree().len() as u32;
 
-    let rebuilding = Arc::new(AtomicBool::new(false));
-    let during_rebuild = Arc::new(AtomicU64::new(0));
+    // Odd while an update_batch call is in progress; bumped on entry and
+    // on exit, so equal odd readings bracket one update window.
+    let window = Arc::new(AtomicU64::new(0));
+    let during_update = Arc::new(AtomicU64::new(0));
     let published_ctr = Arc::new(AtomicU64::new(0));
     let stop = Arc::new(AtomicBool::new(false));
 
-    // Updater: batches of updates plus a forced rebuild+publish, back to
-    // back, until the readers are done.
+    // Updater: alternately insert a batch of fresh keys and remove the
+    // same keys again (so the catalogs stay near their starting size),
+    // back to back, until the readers are done.
     let updater = {
         let svc = Arc::clone(&svc);
-        let rebuilding = Arc::clone(&rebuilding);
+        let window = Arc::clone(&window);
         let published_ctr = Arc::clone(&published_ctr);
         let stop = Arc::clone(&stop);
         thread::spawn(move || {
             let mut rng = SmallRng::seed_from_u64(77);
             let mut published = 0u64;
             while !stop.load(SeqCst) {
-                let ops: Vec<UpdateOp<i64>> = (0..64)
+                let keys: Vec<(NodeId, i64)> = (0..BATCH)
                     .map(|_| {
-                        let node = NodeId(rng.gen_range(0..node_count));
-                        let key = rng.gen_range(0..10_000_000i64);
-                        if rng.gen_bool(0.7) {
-                            UpdateOp::Insert(node, key)
-                        } else {
-                            UpdateOp::Remove(node, key)
-                        }
+                        (
+                            NodeId(rng.gen_range(0..node_count)),
+                            rng.gen_range(0..10_000_000i64),
+                        )
                     })
                     .collect();
-                rebuilding.store(true, SeqCst);
-                svc.update_batch(&ops);
-                svc.force_publish();
-                rebuilding.store(false, SeqCst);
-                published += 1;
-                published_ctr.store(published, SeqCst);
+                let inserts: Vec<UpdateOp<i64>> =
+                    keys.iter().map(|&(n, k)| UpdateOp::Insert(n, k)).collect();
+                let removes: Vec<UpdateOp<i64>> =
+                    keys.iter().map(|&(n, k)| UpdateOp::Remove(n, k)).collect();
+                for ops in [inserts, removes] {
+                    window.fetch_add(1, SeqCst);
+                    let changed = svc.update_batch(&ops);
+                    window.fetch_add(1, SeqCst);
+                    assert!(changed, "a batch of {BATCH} fresh keys changed nothing");
+                    published += 1;
+                    published_ctr.store(published, SeqCst);
+                }
             }
             published
         })
     };
 
-    // Let the first rebuilt generation land before the readers start, so
-    // every reader is guaranteed to observe a post-rebuild generation even
-    // when queries are much faster than rebuilds.
+    // Let the first updated generation land before the readers start, so
+    // every reader is guaranteed to observe a post-update generation even
+    // when queries are much faster than updates.
     while published_ctr.load(SeqCst) < 1 {
         thread::sleep(Duration::from_millis(1));
     }
@@ -103,15 +111,15 @@ fn readers_progress_and_match_generation_oracles_under_rebuild_storm() {
         .map(|t| {
             let svc = Arc::clone(&svc);
             let leaves = Arc::clone(&leaves);
-            let rebuilding = Arc::clone(&rebuilding);
-            let during_rebuild = Arc::clone(&during_rebuild);
+            let window = Arc::clone(&window);
+            let during_update = Arc::clone(&during_update);
             thread::spawn(move || {
                 let mut rng = SmallRng::seed_from_u64(1000 + t);
                 let mut last_gen = 0u64;
                 for i in 0..QUERIES_PER_READER {
                     let leaf = leaves[rng.gen_range(0..leaves.len())];
                     let y = rng.gen_range(-5..10_000_005i64);
-                    let flagged = rebuilding.load(SeqCst);
+                    let opened = window.load(SeqCst);
                     let ok = svc
                         .query_blocking(leaf, y, None)
                         .unwrap_or_else(|e| panic!("reader {t} query {i}: {e}"));
@@ -129,9 +137,10 @@ fn readers_progress_and_match_generation_oracles_under_rebuild_storm() {
                     );
                     last_gen = ok.gen.id;
                     // The whole query (submit → answer) landed inside one
-                    // rebuild window: reader progress during a rebuild.
-                    if flagged && rebuilding.load(SeqCst) {
-                        during_rebuild.fetch_add(1, SeqCst);
+                    // update window: reader progress while the writer
+                    // holds its lock.
+                    if opened % 2 == 1 && window.load(SeqCst) == opened {
+                        during_update.fetch_add(1, SeqCst);
                     }
                 }
                 last_gen
@@ -143,24 +152,24 @@ fn readers_progress_and_match_generation_oracles_under_rebuild_storm() {
     for r in readers {
         max_gen_seen = max_gen_seen.max(r.join().expect("reader panicked"));
     }
-    // A full rebuild is orders of magnitude slower than a query (especially
-    // unoptimised), so fast readers can drain their quota before the
-    // updater has looped much; let it reach a few publishes regardless of
-    // build profile before stopping it.
+    // A large batch is much slower than a query (especially unoptimised),
+    // so fast readers can drain their quota before the updater has looped
+    // much; let it reach a few publishes regardless of build profile
+    // before stopping it.
     while published_ctr.load(SeqCst) < 3 {
         thread::sleep(Duration::from_millis(1));
     }
     stop.store(true, SeqCst);
     let published = updater.join().expect("updater panicked");
 
-    assert!(published >= 3, "updater must have rebuilt repeatedly");
+    assert!(published >= 3, "updater must have published repeatedly");
     assert!(
         max_gen_seen >= 1,
-        "readers must observe rebuilt generations"
+        "readers must observe updated generations"
     );
     assert!(
-        during_rebuild.load(SeqCst) > 0,
-        "readers made no progress during rebuilds — are queries blocking on the writer lock?"
+        during_update.load(SeqCst) > 0,
+        "readers made no progress during updates — are queries blocking on the writer lock?"
     );
 
     let Ok(svc) = Arc::try_unwrap(svc) else {

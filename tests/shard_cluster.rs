@@ -74,7 +74,6 @@ fn chaos_cfg() -> ShardConfig {
             queue_cap: 256,
             default_deadline: Duration::from_secs(10),
             audit_interval: Duration::from_millis(40),
-            processors: 1 << 8,
             ..ServeConfig::default()
         },
         batch_threads: 2,
@@ -255,7 +254,6 @@ fn quiet_cfg(shards: usize) -> ShardConfig {
             workers: 1,
             audit_interval: Duration::from_secs(3600),
             default_deadline: Duration::from_secs(5),
-            processors: 1 << 8,
             ..ServeConfig::default()
         },
         batch_threads: 2,

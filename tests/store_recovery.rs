@@ -15,7 +15,14 @@
 //! * answers equal the sequential oracle (original tree + acked ops) on
 //!   probes inside **every** recovered shard range.
 //!
-//! Around the gate sit regression tests for the uglier corners: a WAL
+//! A second kill -9 pair checks the visibility contract through the same
+//! path: a `DurableCluster` writer beside a concurrent `query_blocking`
+//! reader, where every read that starts after an insert's ack must return
+//! the key at its node and no read that starts after a remove's ack may
+//! return the removed key — before the crash, after the cold start, and
+//! in a fresh concurrent round on the recovered cluster.
+//!
+//! Around the gates sit regression tests for the uglier corners: a WAL
 //! caught mid-rotation (duplicated final record in a fresh segment)
 //! written by a two-replica shard must recover cleanly through idempotent
 //! sequence-number replay; fully corrupt snapshots and a missing middle
@@ -34,6 +41,8 @@ use std::collections::HashMap;
 use std::fs;
 use std::path::PathBuf;
 use std::process::Command;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
+use std::thread;
 use std::time::Duration;
 
 fn tmp(name: &str) -> PathBuf {
@@ -50,7 +59,6 @@ fn cfg(shards: usize, replicas: usize) -> ShardConfig {
             workers: 1,
             audit_interval: Duration::from_secs(3600),
             default_deadline: Duration::from_secs(5),
-            processors: 1 << 8,
             ..ServeConfig::default()
         },
         batch_threads: 2,
@@ -253,6 +261,228 @@ fn kill9_crash_recovery_gate() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// Op `i` of the visibility stream, for a root-to-leaf `path`: ops
+/// `i ≡ 0, 1 (mod 3)` insert a key no other op of the stream names (the
+/// stride is coprime to the modulus), spread over every shard's range;
+/// op `i ≡ 2` removes the key op `i - 2` inserted.
+fn visibility_op(path: &[NodeId], i: usize) -> UpdateOp<i64> {
+    let insert = |i: usize| (path[i % path.len()], 1 + (i as i64 * 97) % 23_993);
+    if i % 3 == 2 {
+        let (node, key) = insert(i - 2);
+        UpdateOp::Remove(node, key)
+    } else {
+        let (node, key) = insert(i);
+        UpdateOp::Insert(node, key)
+    }
+}
+
+/// Whether a read of `op`'s key at `op`'s node, on `leaf`, returns it.
+fn reads_key(dc: &DurableCluster<i64>, leaf: NodeId, op: &UpdateOp<i64>) -> bool {
+    let (UpdateOp::Insert(node, key) | UpdateOp::Remove(node, key)) = *op;
+    let ok = dc
+        .cluster()
+        .query_blocking(leaf, key, None)
+        .unwrap_or_else(|e| panic!("read of {op:?}: {e}"));
+    ok.path
+        .iter()
+        .zip(&ok.answers)
+        .any(|(n, a)| *n == node && *a == Some(key))
+}
+
+/// Acks between the writer's waits for a fresh checked read.
+const VIS_HANDSHAKE: usize = 10;
+
+/// Stream ops `range` of the visibility stream through `dc` while a
+/// concurrent reader checks each read against the acks that preceded its
+/// start: an acked insert whose remove is not yet acked must be visible,
+/// an acked remove must not be. Every [`VIS_HANDSHAKE`] acks the writer
+/// waits until the reader has checked one more read, so reads interleave
+/// with the writes however the threads are scheduled. `ack` runs after
+/// each acked op. Returns how many reads were checked.
+fn visibility_round(
+    dc: &DurableCluster<i64>,
+    leaf: NodeId,
+    path: &[NodeId],
+    range: std::ops::Range<usize>,
+    ack: impl Fn(&UpdateOp<i64>) + Sync,
+) -> usize {
+    assert_eq!(range.start % 3, 0, "a round starts on an insert");
+    let ops: Vec<UpdateOp<i64>> = range.clone().map(|i| visibility_op(path, i)).collect();
+    let acked = AtomicUsize::new(0);
+    let checked = AtomicUsize::new(0);
+    let done = AtomicBool::new(false);
+    thread::scope(|s| {
+        let reader = s.spawn(|| {
+            let mut turn = 0usize;
+            while !done.load(SeqCst) {
+                // Every op below `n` was acked before this read starts.
+                let n = acked.load(SeqCst);
+                if n == 0 {
+                    thread::yield_now();
+                    continue;
+                }
+                turn += 1;
+                // Alternate the newest ack with a scattered older one.
+                let j = if turn.is_multiple_of(2) {
+                    n - 1
+                } else {
+                    (turn * 7919) % n
+                };
+                let want = match (range.start + j) % 3 {
+                    1 => true,
+                    0 if j + 2 < n => false,
+                    0 => continue, // its remove may be in flight
+                    _ => false,
+                };
+                assert_eq!(
+                    reads_key(dc, leaf, &ops[j]),
+                    want,
+                    "a read started after {n} acks disagrees with acked op {j}: {:?}",
+                    ops[j]
+                );
+                checked.fetch_add(1, SeqCst);
+            }
+        });
+        for (i, op) in ops.iter().enumerate() {
+            dc.update_batch(std::slice::from_ref(op))
+                .expect("durable update");
+            ack(op);
+            acked.store(i + 1, SeqCst);
+            if (i + 1) % VIS_HANDSHAKE == 0 {
+                let seen = checked.load(SeqCst);
+                while checked.load(SeqCst) == seen && !reader.is_finished() {
+                    thread::yield_now();
+                }
+            }
+        }
+        done.store(true, SeqCst);
+        reader.join().expect("visibility reader panicked");
+    });
+    checked.into_inner()
+}
+
+/// Ops of the visibility stream before the child's crash: a concurrent
+/// round, then a sequential tail cut by the abort.
+const VIS_ROUND: usize = 150;
+const VIS_TAIL_ABORT: usize = 61;
+
+/// CHILD SIDE of the visibility gate. A no-op unless `FC_VIS_CRASH_DIR` is
+/// set. Never returns normally when driven: it aborts mid-tail.
+#[test]
+fn visibility_child_driver() {
+    let Some(dir) = std::env::var_os("FC_VIS_CRASH_DIR") else {
+        return;
+    };
+    let dir = PathBuf::from(dir);
+    let tree = crash_tree();
+    let dc = DurableCluster::create(
+        &dir,
+        &tree,
+        ParamMode::Auto,
+        cfg(3, 2),
+        StoreConfig::default(),
+    )
+    .expect("child: create");
+    let leaf = dc.cluster().leaves()[0];
+    let path = tree.path_from_root(leaf);
+    let print = |op: &UpdateOp<i64>| match *op {
+        UpdateOp::Insert(node, key) => println!("ACKED I {} {}", node.0, key),
+        UpdateOp::Remove(node, key) => println!("ACKED R {} {}", node.0, key),
+    };
+    let checked = visibility_round(&dc, leaf, &path, 0..VIS_ROUND, print);
+    println!("ROUND_OK {checked}");
+    for i in VIS_ROUND..2 * VIS_ROUND {
+        let op = visibility_op(&path, i);
+        dc.update_batch(&[op]).expect("child: durable append");
+        print(&op);
+        if i == VIS_ROUND + VIS_TAIL_ABORT - 1 {
+            std::process::abort();
+        }
+    }
+    unreachable!("child must abort before finishing its tail");
+}
+
+/// PARENT SIDE of the visibility gate: the child's concurrent round must
+/// pass, every op it acked before its SIGABRT must read back as acked
+/// after the cold start, and a fresh concurrent round on the recovered
+/// cluster must pass too.
+#[test]
+fn acked_writes_visible_to_concurrent_reads_across_kill9() {
+    let dir = tmp("visibility");
+    let exe = std::env::current_exe().expect("current_exe");
+    let out = Command::new(exe)
+        .args([
+            "visibility_child_driver",
+            "--exact",
+            "--nocapture",
+            "--test-threads=1",
+        ])
+        .env("FC_VIS_CRASH_DIR", &dir)
+        .output()
+        .expect("spawn child");
+    assert!(!out.status.success(), "child must die by abort");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let round_ok = stdout
+        .lines()
+        .find_map(|l| l.find("ROUND_OK ").map(|at| l[at + 9..].trim().to_owned()))
+        .unwrap_or_else(|| {
+            panic!(
+                "the child's concurrent round failed.\nstdout:\n{stdout}\nstderr:\n{}",
+                String::from_utf8_lossy(&out.stderr)
+            )
+        });
+    assert_ne!(round_ok, "0", "the child's reader checked no read");
+    let mut acked: Vec<UpdateOp<i64>> = Vec::new();
+    for line in stdout.lines() {
+        let Some(at) = line.find("ACKED ") else {
+            continue;
+        };
+        let mut it = line[at + 6..].split_whitespace();
+        let kind = it.next();
+        let node = it.next().and_then(|s| s.parse::<u32>().ok());
+        let key = it.next().and_then(|s| s.parse::<i64>().ok());
+        match (kind, node, key) {
+            (Some("I"), Some(n), Some(k)) => acked.push(UpdateOp::Insert(NodeId(n), k)),
+            (Some("R"), Some(n), Some(k)) => acked.push(UpdateOp::Remove(NodeId(n), k)),
+            _ => {}
+        }
+    }
+    assert_eq!(acked.len(), VIS_ROUND + VIS_TAIL_ABORT);
+
+    let (dc, rep) = DurableCluster::<i64>::cold_start(&dir, ParamMode::Auto, cfg(3, 2), no_fsync())
+        .unwrap_or_else(|e| panic!("cold start after kill -9: {e}"));
+    assert!(
+        rep.replayed_records > 0,
+        "the acked tail lived only in the WALs"
+    );
+    let leaf = dc.cluster().leaves()[0];
+    let path = crash_tree().path_from_root(leaf);
+    // Every read now starts after every ack: the last acked op on each
+    // (node, key) decides whether the read returns the key.
+    let mut last: HashMap<(u32, i64), bool> = HashMap::new();
+    for op in &acked {
+        match *op {
+            UpdateOp::Insert(n, k) => last.insert((n.0, k), true),
+            UpdateOp::Remove(n, k) => last.insert((n.0, k), false),
+        };
+    }
+    for op in &acked {
+        let (UpdateOp::Insert(n, k) | UpdateOp::Remove(n, k)) = *op;
+        assert_eq!(
+            reads_key(&dc, leaf, op),
+            last[&(n.0, k)],
+            "{op:?} after the cold start"
+        );
+    }
+    let checked = visibility_round(&dc, leaf, &path, 2 * VIS_ROUND..3 * VIS_ROUND, |_| {});
+    assert!(
+        checked > 0,
+        "the recovered cluster's reader checked no read"
+    );
+    dc.shutdown();
+    let _ = fs::remove_dir_all(&dir);
+}
+
 /// Regression: a shard whose WAL sits mid-rotation (final record
 /// duplicated into a fresh segment — exactly what a crash between "write
 /// new segment" and "advance" leaves) must cold-start cleanly, with the
@@ -371,7 +601,7 @@ fn newest_generations(dir: &std::path::Path, epoch: u64, shards: usize) -> Vec<u
 }
 
 /// One acked insert of a fresh key into each shard of a 2-shard cluster,
-/// so the next checkpoint has buffered changes to drain.
+/// so each shard publishes one new generation.
 fn insert_into_both_shards(dc: &DurableCluster<i64>, node: NodeId, round: i64) {
     let keys = [-1 - round, 90_000_000 + round];
     let state = dc.cluster().state();
@@ -396,7 +626,11 @@ fn logical_generation_increases_across_cold_start() {
         dc.checkpoint().unwrap();
     }
     let before = newest_generations(&dir, 1, 2);
-    assert_eq!(before, vec![3, 3], "three checkpoints, one rebuild each");
+    assert_eq!(
+        before,
+        vec![3, 3],
+        "three acked batches per shard, one generation each"
+    );
     dc.shutdown();
 
     let (dc, _) =
