@@ -1428,7 +1428,6 @@ pub fn eserve() -> Table {
             workers: 2,
             queue_cap: 64,
             default_deadline: Duration::from_secs(30),
-            audit_interval: Duration::from_millis(10),
             ..ServeConfig::default()
         };
         let svc = Service::start(tree, ParamMode::Auto, cfg);
@@ -1486,7 +1485,7 @@ pub fn eserve() -> Table {
         ]);
     }
     t.note("every Ok answer is re-checked against the sequential oracle on the generation that served it (QueryOk::gen)");
-    t.note("faults corrupt only derived data, which the per-node read never touches; the auditor repairs and republishes it — `wrong` stays 0 by contract");
+    t.note("faults corrupt only derived data, which the per-node read never touches; `audit_blocking` repairs and republishes it — `wrong` stays 0 by contract");
     t.note("every update publishes a generation whose derived data is rebuilt on first use, so each injection is audited before the next write");
     t
 }

@@ -139,7 +139,6 @@ pub fn measure_serve(n: usize) -> Snapshot {
         workers: cores,
         queue_cap: n + LATENCY_SAMPLE,
         default_deadline: Duration::from_secs(30),
-        audit_interval: Duration::from_secs(3600),
         ..ServeConfig::default()
     };
     let t0 = Instant::now();
@@ -200,7 +199,6 @@ pub fn measure_shard(n: usize) -> Snapshot {
             workers: 1,
             queue_cap: n + LATENCY_SAMPLE,
             default_deadline: Duration::from_secs(30),
-            audit_interval: Duration::from_secs(3600),
             ..ServeConfig::default()
         },
         batch_threads: cores,
@@ -651,7 +649,6 @@ pub fn measure_net(n: usize) -> Snapshot {
             workers: 1,
             queue_cap: n + LATENCY_SAMPLE,
             default_deadline: Duration::from_secs(30),
-            audit_interval: Duration::from_secs(3600),
             ..ServeConfig::default()
         },
         batch_threads: cores,

@@ -30,8 +30,8 @@
 //! parallel flat `u32` array for the native successors, and one flat `u32`
 //! array for all bridges (node-major, one `t_v`-long row per child slot).
 //! A descent step therefore touches three contiguous arrays instead of
-//! chasing `Vec<Vec<_>>` pointers, the probe itself is the branchless
-//! `fc_pram::lower_bound`, and publishing a new generation is a handful of
+//! chasing `Vec<Vec<_>>` pointers, the probe itself is std's
+//! `partition_point`, and publishing a new generation is a handful of
 //! memcpys. Per-node access goes through the borrowed views
 //! [`CascadedNodeRef`] / [`CascadedNodeMut`].
 //!
@@ -51,7 +51,6 @@ use crate::error::FcError;
 use crate::key::CatalogKey;
 use crate::tree::{CatalogTree, NodeId};
 use fc_pram::cost::Pram;
-use fc_pram::primitives::lower_bound;
 use fc_pram::shadow::Tracer;
 use rayon::prelude::*;
 use std::sync::Arc;
@@ -826,12 +825,12 @@ impl<K: CatalogKey> CascadedTree<K> {
     }
 
     /// Locate `y` in the augmented catalog of `id`: smallest augmented
-    /// index with `keys[i] >= y`, via the branchless shared probe. Always
-    /// exists because of the terminal `+∞`.
+    /// index with `keys[i] >= y`, by `partition_point`. Always exists
+    /// because of the terminal `+∞`.
     #[inline]
     pub fn find_aug(&self, id: NodeId, y: K) -> usize {
         let keys = self.arena.keys_of(id);
-        let i = lower_bound(keys, &y);
+        let i = keys.partition_point(|k| *k < y);
         debug_assert!(i < keys.len(), "terminal +inf guarantees a hit");
         i
     }
@@ -1105,7 +1104,7 @@ mod tests {
             for y in -2..100 {
                 let aug = fc.find_aug(id, y);
                 let got = fc.native_result(id, aug).native_idx as usize;
-                let want = lower_bound(&native, &y);
+                let want = native.partition_point(|k| *k < y);
                 assert_eq!(got, want, "node {id:?} y {y}");
             }
         }
@@ -1237,7 +1236,7 @@ mod tests {
                     aug = fc.descend(prev, slot, aug, y).0;
                     prev = nid;
                     let got = fc.native_result(nid, aug).native_idx as usize;
-                    assert_eq!(got, lower_bound(t.catalog(nid), &y));
+                    assert_eq!(got, t.catalog(nid).partition_point(|k| *k < y));
                 }
             }
         }
@@ -1308,7 +1307,7 @@ mod tests {
                     prev = nid;
                     assert_eq!(
                         fc.native_result(nid, aug).native_idx as usize,
-                        lower_bound(t.catalog(nid), &y)
+                        t.catalog(nid).partition_point(|k| *k < y)
                     );
                 }
             }

@@ -15,7 +15,6 @@ use crate::cascade::{CascadedTree, Find};
 use crate::key::CatalogKey;
 use crate::tree::{CatalogTree, NodeId};
 use fc_pram::cost::Pram;
-use fc_pram::primitives::lower_bound;
 
 /// Output of a path search: `results[i]` is `find(y, path[i])`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,7 +42,7 @@ pub fn search_path_naive<K: CatalogKey>(
                 pram.seq(((usize::BITS - len.leading_zeros()) as usize).max(1));
             }
             Find {
-                native_idx: lower_bound(cat, &y) as u32,
+                native_idx: cat.partition_point(|k| *k < y) as u32,
             }
         })
         .collect();

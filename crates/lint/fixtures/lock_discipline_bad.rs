@@ -1,5 +1,5 @@
 // Canary: `lock-discipline` must flag guards held across blocking effects
-// (fsync, channel send, epoch publish, socket write) and inconsistent
+// (fsync, channel send, generation publish, socket write) and inconsistent
 // pairwise lock order.
 
 fn fsync_under_guard(&self) -> std::io::Result<()> {
@@ -13,9 +13,9 @@ fn send_under_guard(&self, job: Job) {
     drop(queue);
 }
 
-fn publish_under_guard(&self, gen: u64) {
+fn publish_under_guard(&self, gen: Arc<Generation>) {
     let writer = self.writer.lock();
-    self.epoch.swap(gen);
+    *self.generation.write() = gen;
     drop(writer);
 }
 

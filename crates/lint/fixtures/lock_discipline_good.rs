@@ -17,12 +17,13 @@ fn send_after_release(&self, job: Job) {
     self.tx.send((seq, job));
 }
 
-fn publish_after_release(&self, gen: u64) {
+fn publish_after_release(&self, gen: Arc<Generation>) {
     {
         let writer = self.writer.lock();
-        writer.prepare(gen);
+        writer.prepare(&gen);
     }
-    self.epoch.swap(gen);
+    let old = std::mem::replace(&mut *self.generation.write(), gen);
+    drop(old);
 }
 
 fn socket_write_after_release(&self, frame: &[u8]) {

@@ -5,7 +5,7 @@
 //!
 //! | rule | checks |
 //! |---|---|
-//! | `lock-discipline` | guards held across fsync / channel send / `EpochPtr` publish; inconsistent pairwise lock order |
+//! | `lock-discipline` | guards held across fsync / channel send / generation or routing publish; inconsistent pairwise lock order |
 //! | `commit-order` | temp-write→fsync→rename, WAL-append-before-apply, persist-before-manifest orderings |
 //! | `panic-free` | no `unwrap`/`expect`/panicking macros in any non-test workspace code |
 //! | `hot-path-strict` | the PR 2 rule: panic-free *and* index-free inside the recovery/serving hot-path scopes |
@@ -14,7 +14,8 @@
 //! Findings can be silenced two ways, both auditable:
 //!
 //! * inline: `// fc-lint: allow(<rule>) -- <reason>` (the reason is
-//!   required — a reason-less suppression is itself a finding);
+//!   required — a reason-less suppression is itself a finding, and so is
+//!   one that silences no finding of a rule that ran);
 //! * the committed baseline `lint-baseline.txt` for grandfathered
 //!   workspace-sweep findings ([`baseline`]).
 //!
@@ -34,7 +35,7 @@ use baseline::Baseline;
 use lexer::{lex, SpannedTok};
 use scope::{functions, FnItem};
 use source::SourceFile;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -95,7 +96,7 @@ pub struct Effects {
     pub fsync: bool,
     /// Sends on a channel.
     pub send: bool,
-    /// Publishes through an `EpochPtr` swap.
+    /// Publishes a generation or routing state (`.write()` on its cell).
     pub publish: bool,
 }
 
@@ -181,7 +182,9 @@ impl Workspace {
 
 /// Direct + transitive effect computation: seed each function with the
 /// effects its own body performs, then propagate through call tokens
-/// (`name(`, `.name(`, `path::name(`) by name to a fixpoint.
+/// (`name(`, `.name(`, `path::name(`) by name to a fixpoint. The
+/// arguments of a `spawn(..)` call are skipped: a spawned closure runs on
+/// its own thread, under none of the spawner's guards.
 fn compute_effects(files: &[Analyzed]) -> HashMap<String, Effects> {
     // Method names that must never propagate by bare name: they collide
     // with std APIs (`Vec::swap`, atomics' `swap`, io `write`) and the
@@ -203,18 +206,21 @@ fn compute_effects(files: &[Analyzed]) -> HashMap<String, Effects> {
             let body = &file.toks[f.body_start..=f.body_end.min(file.toks.len() - 1)];
             let mut eff = Effects::default();
             let mut callees = Vec::new();
-            for i in 0..body.len() {
+            let mut i = 0;
+            while i < body.len() {
                 if let Some(name) = call_at(body, i) {
                     match name {
+                        "spawn" => i = closing_paren(body, i),
                         "sync_all" | "sync_data" => eff.fsync = true,
                         "send" if body.get(i.wrapping_sub(1)).is_some_and(|t| t.is('.')) => {
                             eff.send = true
                         }
-                        "swap" if receiver_mentions(body, i, "epoch") => eff.publish = true,
+                        "write" if publishes_at(body, i) => eff.publish = true,
                         _ if !NO_PROPAGATE.contains(&name) => callees.push(name.to_owned()),
                         _ => {}
                     }
                 }
+                i += 1;
             }
             map.entry(f.name.clone()).or_default().union(eff);
             calls.push((f.name.clone(), callees));
@@ -278,6 +284,23 @@ pub(crate) fn call_at(toks: &[SpannedTok], i: usize) -> Option<&str> {
     }
 }
 
+/// Index of the `)` closing the first `(` after token `i` (the last
+/// index when unbalanced).
+fn closing_paren(toks: &[SpannedTok], i: usize) -> usize {
+    let mut depth = 0i32;
+    for (j, t) in toks.iter().enumerate().skip(i) {
+        if t.is('(') {
+            depth += 1;
+        } else if t.is(')') {
+            depth -= 1;
+            if depth == 0 {
+                return j;
+            }
+        }
+    }
+    toks.len().saturating_sub(1)
+}
+
 /// Whether the receiver chain of the method call at token `i` (an ident
 /// preceded by `.`) contains an identifier containing `needle`.
 pub(crate) fn receiver_mentions(toks: &[SpannedTok], i: usize, needle: &str) -> bool {
@@ -298,6 +321,17 @@ pub(crate) fn receiver_mentions(toks: &[SpannedTok], i: usize, needle: &str) -> 
         }
     }
     false
+}
+
+/// Whether token `i` is the `write` of a `.write()` on a generation or
+/// routing cell: the publish of a new generation or routing state.
+pub(crate) fn publishes_at(toks: &[SpannedTok], i: usize) -> bool {
+    toks.get(i).and_then(|t| t.ident()) == Some("write")
+        && i >= 1
+        && toks[i - 1].is('.')
+        && toks.get(i + 1).is_some_and(|t| t.is('('))
+        && toks.get(i + 2).is_some_and(|t| t.is(')'))
+        && (receiver_mentions(toks, i, "generation") || receiver_mentions(toks, i, "routing"))
 }
 
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
@@ -352,21 +386,18 @@ pub fn run(
         rule.check(&ws, &mut raw);
     }
     rules::check_suppression_comments(&ws, &mut raw);
+    let rules_run: Vec<&'static str> = rules.iter().map(|r| r.id()).collect();
+    let suppressed = apply_suppressions(&ws, &rules_run, &mut raw);
     let mut report = Report {
         findings: Vec::new(),
-        suppressed: 0,
+        suppressed,
         grandfathered: 0,
         stale_baseline: Vec::new(),
-        rules_run: rules.iter().map(|r| r.id()).collect(),
+        rules_run,
     };
     let baselined: BTreeMap<&str, bool> = rules.iter().map(|r| (r.id(), r.baselined())).collect();
     for f in raw {
-        let suppressed = ws
-            .file(&f.file)
-            .is_some_and(|a| a.src.is_suppressed(f.rule, f.line));
-        if suppressed {
-            report.suppressed += 1;
-        } else if baselined.get(f.rule).copied().unwrap_or(false) && baseline.consume(&f) {
+        if baselined.get(f.rule).copied().unwrap_or(false) && baseline.consume(&f) {
             report.grandfathered += 1;
         } else {
             report.findings.push(f);
@@ -397,7 +428,8 @@ pub fn render_baseline(root: &Path) -> Result<String, Vec<String>> {
 }
 
 /// Run a single rule over one fixture file (selftest entry point):
-/// path scopes are ignored, suppressions are honored, no baseline.
+/// path scopes are ignored, suppressions are honored (and reported when
+/// they silence nothing), no baseline.
 pub fn check_fixture(rule_id: &str, path: &Path) -> Result<Vec<Finding>, String> {
     let ws = Workspace::single(path)?;
     let rules = rules::select(std::slice::from_ref(&rule_id.to_owned()))?;
@@ -406,7 +438,80 @@ pub fn check_fixture(rule_id: &str, path: &Path) -> Result<Vec<Finding>, String>
         rule.check(&ws, &mut out);
     }
     rules::check_suppression_comments(&ws, &mut out);
-    let file = &ws.files[0];
-    out.retain(|f| !file.src.is_suppressed(f.rule, f.line));
+    let ran: Vec<&str> = rules.iter().map(|r| r.id()).collect();
+    apply_suppressions(&ws, &ran, &mut out);
     Ok(out)
+}
+
+/// Drop every finding a reasoned inline suppression silences and return
+/// how many were dropped. Then report, as a `suppression` finding, every
+/// reasoned non-test suppression naming a rule in `rules_run` that
+/// silenced none of that rule's findings: it excuses nothing, so it only
+/// hides the next real finding on its line.
+fn apply_suppressions(ws: &Workspace, rules_run: &[&str], findings: &mut Vec<Finding>) -> usize {
+    let mut used: HashSet<(String, usize, &str)> = HashSet::new();
+    let before = findings.len();
+    findings.retain(|f| {
+        let silenced = ws
+            .file(&f.file)
+            .is_some_and(|a| a.src.is_suppressed(f.rule, f.line));
+        if silenced {
+            used.insert((f.file.clone(), f.line, f.rule));
+        }
+        !silenced
+    });
+    let dropped = before - findings.len();
+    for file in &ws.files {
+        for s in &file.src.suppressions {
+            if s.at_line > file.src.code_end || !s.has_reason {
+                continue;
+            }
+            for r in &s.rules {
+                let key = (file.src.rel.clone(), s.target_line, r.as_str());
+                if rules_run.contains(&r.as_str()) && !used.contains(&key) {
+                    findings.push(Finding {
+                        rule: "suppression",
+                        file: file.src.rel.clone(),
+                        line: s.at_line,
+                        message: format!(
+                            "fc-lint suppression `allow({r})` silences no `{r}` finding — delete it"
+                        ),
+                        content: file.raw_line(s.at_line),
+                    });
+                }
+            }
+        }
+    }
+    dropped
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::rules::{PanicFree, Rule};
+
+    #[test]
+    fn a_suppression_that_silences_nothing_is_reported() {
+        let src = "\
+fn f(v: Option<u32>) -> u32 {
+    // fc-lint: allow(panic-free) -- stale: nothing below can panic
+    v.unwrap_or(0)
+}
+fn g(v: Option<u32>) -> u32 {
+    v.unwrap() // fc-lint: allow(panic-free) -- the caller checked it
+}
+";
+        let ws = Workspace::single_text("t.rs", src);
+        let mut out = Vec::new();
+        PanicFree.check(&ws, &mut out);
+        assert_eq!(apply_suppressions(&ws, &["panic-free"], &mut out), 1);
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert_eq!((out[0].rule, out[0].line), ("suppression", 2));
+        assert!(out[0].message.contains("silences no"), "{}", out[0].message);
+
+        // A rule that did not run cannot vouch for its suppressions.
+        let mut none = Vec::new();
+        assert_eq!(apply_suppressions(&ws, &["hot-alloc"], &mut none), 0);
+        assert!(none.is_empty(), "{none:?}");
+    }
 }

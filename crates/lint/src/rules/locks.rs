@@ -17,10 +17,11 @@
 //!   latency;
 //! * **channel send under guard** — `.send(..)` can park the sender on a
 //!   bounded channel while peers spin on the lock;
-//! * **`EpochPtr` publish under guard** — `.swap(..)` on an epoch
-//!   pointer (or a call reaching one): publishing while holding an
-//!   unrelated lock extends the window in which readers can pin a
-//!   generation the writer still mutates elsewhere;
+//! * **publish under guard** — `.write()` on a generation or routing
+//!   cell (a receiver naming `generation` or `routing`), or a call
+//!   reaching one: the write lock waits for every in-flight pin to
+//!   release its read lock, so whoever holds the outer guard waits behind
+//!   readers, and the cell nests inside that lock's order;
 //! * **socket write under guard** (`crates/net` only) — `.write_all(..)`
 //!   or `.flush(..)` while a guard is live: a slow or stalled peer's TCP
 //!   backpressure would extend the hold for as long as the kernel buffer
@@ -42,8 +43,8 @@
 use super::{crate_of, in_concurrent_crates, in_net_crate, Rule};
 use crate::lexer::SpannedTok;
 use crate::scope::FnItem;
-use crate::{call_at, receiver_mentions, Analyzed, Effects, Finding, Workspace};
-use std::collections::BTreeMap;
+use crate::{call_at, publishes_at, Analyzed, Effects, Finding, Workspace};
+use std::collections::{BTreeMap, BTreeSet};
 
 pub struct LockDiscipline;
 
@@ -72,7 +73,7 @@ impl Rule for LockDiscipline {
     }
 
     fn description(&self) -> &'static str {
-        "no guard held across fsync/send/EpochPtr publish/socket write; \
+        "no guard held across fsync/send/publish/socket write; \
          consistent pairwise lock order"
     }
 
@@ -133,11 +134,8 @@ fn scan_fn(
     if f.body_start >= toks.len() || f.body_end >= toks.len() {
         return;
     }
-    // The socket-write event class applies to the ingress crate (and to
-    // fixture mode, so the canary corpus exercises it).
-    let net_scope = ws.force_apply || in_net_crate(&file.src.rel);
     let mut guards: Vec<Guard> = Vec::new();
-    let mut reported: std::collections::BTreeSet<usize> = std::collections::BTreeSet::new();
+    let mut reported: BTreeSet<usize> = BTreeSet::new();
     let mut depth = 0i32;
     let mut i = f.body_start;
     while i <= f.body_end {
@@ -162,6 +160,10 @@ fn scan_fn(
 
         // New acquisition: `. lock ( )` / `. read ( )` / `. write ( )`.
         if let Some(mut acq) = acquisition_at(toks, i) {
+            // A publish is itself an acquisition (`.write()` on a cell):
+            // judge it against the guards already live, then skip its
+            // method token so it is not judged against itself.
+            report_event(ws, file, f, i + 1, &guards, &mut reported, out);
             // Guard ends are depth-relative to the acquisition site.
             acq.end = match acq.end {
                 GuardEnd::Block(_) => GuardEnd::Block(depth),
@@ -183,38 +185,56 @@ fn scan_fn(
                 }
             }
             guards.push(acq);
-            i += 1;
+            i += 2;
             continue;
         }
 
-        // Events under a live guard (one finding per line keeps
-        // diagnostics readable; structural tokens still get processed).
-        if !guards.is_empty() && !reported.contains(&toks[i].line) {
-            if let Some((what, via)) = event_at(ws, toks, i, net_scope) {
-                let holder = guards
-                    .last()
-                    .map(|g| match &g.name {
-                        Some(n) => format!("`{n}` (line {})", g.line),
-                        None => format!("self-lock (line {})", g.line),
-                    })
-                    .unwrap_or_default();
-                out.push(Finding {
-                    rule: "lock-discipline",
-                    file: file.src.rel.clone(),
-                    line: toks[i].line,
-                    message: format!(
-                        "guard {holder} held across {what}{via} in `{}` — \
-                         shrink the guard scope or record why with \
-                         `fc-lint: allow(lock-discipline) -- <reason>`",
-                        f.name
-                    ),
-                    content: file.raw_line(toks[i].line),
-                });
-                reported.insert(toks[i].line);
-            }
-        }
+        report_event(ws, file, f, i, &guards, &mut reported, out);
         i += 1;
     }
+}
+
+/// Report the effectful event at token `i`, if any, against the newest
+/// live guard (one finding per line keeps diagnostics readable).
+fn report_event(
+    ws: &Workspace,
+    file: &Analyzed,
+    f: &FnItem,
+    i: usize,
+    guards: &[Guard],
+    reported: &mut BTreeSet<usize>,
+    out: &mut Vec<Finding>,
+) {
+    let toks = &file.toks;
+    let (Some(holder), Some(tok)) = (guards.last(), toks.get(i)) else {
+        return;
+    };
+    if reported.contains(&tok.line) {
+        return;
+    }
+    // The socket-write event class applies to the ingress crate (and to
+    // fixture mode, so the canary corpus exercises it).
+    let net_scope = ws.force_apply || in_net_crate(&file.src.rel);
+    let Some((what, via)) = event_at(ws, toks, i, net_scope) else {
+        return;
+    };
+    let holder = match &holder.name {
+        Some(n) => format!("`{n}` (line {})", holder.line),
+        None => format!("self-lock (line {})", holder.line),
+    };
+    out.push(Finding {
+        rule: "lock-discipline",
+        file: file.src.rel.clone(),
+        line: tok.line,
+        message: format!(
+            "guard {holder} held across {what}{via} in `{}` — \
+             shrink the guard scope or record why with \
+             `fc-lint: allow(lock-discipline) -- <reason>`",
+            f.name
+        ),
+        content: file.raw_line(tok.line),
+    });
+    reported.insert(tok.line);
 }
 
 /// Detect a lock acquisition at token `i` (the `.` of `.lock()` etc.).
@@ -302,9 +322,7 @@ fn event_at(
             Some(("a disk fsync".into(), format!(" (`{name}`)")))
         }
         "send" if after_dot => Some(("a channel send".into(), String::new())),
-        "swap" if after_dot && receiver_mentions(toks, i, "epoch") => {
-            Some(("an EpochPtr publish".into(), String::new()))
-        }
+        "write" if publishes_at(toks, i) => Some(("a publish".into(), String::new())),
         "write_all" | "flush" if after_dot && net_scope => {
             Some(("a socket write".into(), format!(" (`{name}`)")))
         }
@@ -316,10 +334,7 @@ fn event_at(
             if eff.fsync {
                 Some(("a disk fsync".into(), format!(" (via call to `{name}`)")))
             } else if eff.publish {
-                Some((
-                    "an EpochPtr publish".into(),
-                    format!(" (via call to `{name}`)"),
-                ))
+                Some(("a publish".into(), format!(" (via call to `{name}`)")))
             } else if eff.send {
                 Some(("a channel send".into(), format!(" (via call to `{name}`)")))
             } else {
@@ -376,6 +391,16 @@ mod tests {
     }
 
     #[test]
+    fn a_spawned_closure_is_not_an_effect_of_its_spawner() {
+        let f = findings(
+            "fn work(tx: &T) { tx.send(1); }\n\
+             fn boot(s: &S) { thread::spawn(move || work(&tx)); }\n\
+             fn f(s: &S) {\n    let _g = s.m.lock();\n    boot(s);\n}\n",
+        );
+        assert!(f.is_empty(), "{f:?}");
+    }
+
+    #[test]
     fn statement_temporary_guard_covers_its_own_statement_only() {
         let f = findings(
             "fn f(s: &S) {\n    s.inner.lock().wal.sync_all();\n    s.file.sync_all();\n}\n",
@@ -385,15 +410,27 @@ mod tests {
     }
 
     #[test]
-    fn epoch_publish_under_guard_is_flagged() {
-        let f = findings("fn f(s: &S) {\n    let _g = s.m.lock();\n    s.epoch.swap(x);\n}\n");
+    fn generation_publish_under_guard_is_flagged() {
+        let f = findings(
+            "fn f(s: &S) {\n    let _g = s.m.lock();\n    *s.generation.write() = x;\n}\n",
+        );
         assert_eq!(f.len(), 1, "{f:?}");
-        assert!(f[0].message.contains("EpochPtr publish"));
+        assert!(f[0].message.contains("a publish"), "{}", f[0].message);
+        assert_eq!(f[0].line, 3);
     }
 
     #[test]
     fn atomic_swap_without_epoch_receiver_is_not_publish() {
         let f = findings("fn f(s: &S) {\n    let _g = s.m.lock();\n    s.state.swap(1);\n}\n");
+        assert!(f.is_empty(), "{f:?}");
+    }
+
+    #[test]
+    fn unguarded_publish_and_other_writes_are_not_flagged() {
+        let f = findings(
+            "fn f(s: &S) {\n    *s.routing.write() = x;\n}\n\
+             fn g(s: &S) {\n    let _g = s.m.lock();\n    *s.table.write() = x;\n}\n",
+        );
         assert!(f.is_empty(), "{f:?}");
     }
 

@@ -100,7 +100,6 @@ fn run() -> i32 {
         serve: ServeConfig {
             workers: 2,
             default_deadline: Duration::from_secs(5),
-            audit_interval: Duration::from_millis(250),
             ..ServeConfig::default()
         },
         batch_threads: 2,

@@ -599,8 +599,8 @@ fn map_shard_error(e: &ShardError) -> (ErrorCode, String) {
 
 /// The plain-text `/health` report: ingress counters, then per shard the
 /// heat score the rebalancer uses to pick split candidates and, per
-/// replica, queue depth, shed and admission counts, and the generation
-/// epoch.
+/// replica, queue depth, shed and admission counts, and the id of the
+/// published generation (`epoch`).
 fn health_text<K>(cluster: &ShardCluster<K>, shared: &Shared) -> String
 where
     K: CatalogKey + KeyCodec,

@@ -38,5 +38,5 @@ pub mod primitives;
 pub mod shadow;
 
 pub use cost::{Model, Pram, PramReport};
-pub use primitives::{coop_lower_bound, coop_lower_bound_traced, lower_bound, lower_bound_naive};
+pub use primitives::{coop_lower_bound, coop_lower_bound_traced};
 pub use shadow::{NoTrace, PhaseStats, Region, ShadowMem, ShadowViolation, Tracer};

@@ -19,41 +19,6 @@ use crate::cost::Pram;
 use crate::shadow::{NoTrace, Region, Tracer};
 use rayon::prelude::*;
 
-/// Smallest index `i` such that `slice[i] >= y`, or `slice.len()` if none —
-/// the `find(y, v)` primitive of the paper specialised to one catalog.
-///
-/// Branchless binary search: the loop carries an answer range `[base,
-/// base + len]` and each iteration moves `base` by `half` via an arithmetic
-/// select (`usize::from(cmp) * half`), which compiles to a conditional move
-/// instead of a branch. On the uniformly random probe positions a cascade
-/// descent produces, the data-dependent branch of a textbook search is
-/// unpredictable (~50% mispredict); the `cmov` form keeps the pipeline full
-/// and is what makes the flat-arena descent fast. Every cascade and search
-/// call site routes through this one primitive.
-///
-/// Bit-identical to [`lower_bound_naive`] on every input, duplicates and
-/// sentinel keys included (pinned by the `branchless_matches_naive_*` tests).
-#[inline]
-pub fn lower_bound<K: Ord>(slice: &[K], y: &K) -> usize {
-    let mut base = 0usize;
-    let mut len = slice.len();
-    while len > 1 {
-        let half = len / 2;
-        // SAFETY-free select: base + half < base + len <= slice.len().
-        base += usize::from(slice[base + half] < *y) * half;
-        len -= half;
-    }
-    base + usize::from(len > 0 && slice[base] < *y)
-}
-
-/// Reference implementation of [`lower_bound`]: the standard-library
-/// `partition_point` binary search. Kept public as the oracle the branchless
-/// probe and the flat-arena property tests pin themselves against.
-#[inline]
-pub fn lower_bound_naive<K: Ord>(slice: &[K], y: &K) -> usize {
-    slice.partition_point(|k| k < y)
-}
-
 /// Cooperative p-ary search: smallest index `i` with `slice[i] >= y`.
 ///
 /// Implements Snir's scheme: each round, the `p` processors probe `p`
@@ -62,8 +27,8 @@ pub fn lower_bound_naive<K: Ord>(slice: &[K], y: &K) -> usize {
 /// number of rounds is `ceil(log(n+1) / log(p+1))`, i.e. the optimal
 /// `O((log n)/log p)`.
 ///
-/// The returned index is identical to [`lower_bound`]; `pram` is charged
-/// one `p`-op round per iteration.
+/// The returned index is `slice.partition_point(|k| k < y)`; `pram` is
+/// charged one `p`-op round per iteration.
 pub fn coop_lower_bound<K: Ord>(slice: &[K], y: &K, pram: &mut Pram) -> usize {
     coop_lower_bound_traced(slice, y, pram, &mut NoTrace, ("arr", 0), ("query", 0))
 }
@@ -347,67 +312,10 @@ mod tests {
         let got = coop_lower_bound(slice, &y, &mut pram);
         assert_eq!(
             got,
-            lower_bound(slice, &y),
+            slice.partition_point(|k| *k < y),
             "slice len {} y {y} p {p}",
             slice.len()
         );
-    }
-
-    #[test]
-    fn branchless_matches_naive_adversarial() {
-        // Empty, all-equal, and saturated-key (i64::MAX sentinel) catalogs —
-        // the shapes that break off-by-one rewrites of binary search.
-        let catalogs: Vec<Vec<i64>> = vec![
-            vec![],
-            vec![7],
-            vec![5; 1],
-            vec![5; 2],
-            vec![5; 17],
-            vec![i64::MAX],
-            vec![i64::MAX; 9],
-            vec![1, 5, 5, 5, 5, 9],
-            vec![i64::MIN, -3, 0, 0, 4, i64::MAX, i64::MAX],
-            (0..257).map(|i| i * 3).collect(),
-        ];
-        for cat in &catalogs {
-            let mut probes = vec![i64::MIN, -4, 0, 4, 5, 6, 9, 10, i64::MAX];
-            probes.extend(cat.iter().copied());
-            for y in probes {
-                assert_eq!(
-                    lower_bound(cat, &y),
-                    lower_bound_naive(cat, &y),
-                    "cat {cat:?} y {y}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn branchless_matches_naive_exhaustive_small() {
-        // Every sorted 0/1/2-valued catalog up to length 6, every query in
-        // range: exhaustively pins the cmov probe to the oracle.
-        for len in 0..=6usize {
-            for code in 0..3usize.pow(len as u32) {
-                let mut c = code;
-                let cat: Vec<u8> = (0..len)
-                    .map(|_| {
-                        let d = (c % 3) as u8;
-                        c /= 3;
-                        d
-                    })
-                    .collect();
-                if !cat.windows(2).all(|w| w[0] <= w[1]) {
-                    continue;
-                }
-                for y in 0u8..=3 {
-                    assert_eq!(
-                        lower_bound(&cat, &y),
-                        lower_bound_naive(&cat, &y),
-                        "cat {cat:?} y {y}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]
@@ -460,7 +368,7 @@ mod tests {
                 let mut sh = ShadowMem::new(Model::Crew);
                 let got =
                     coop_lower_bound_traced(&slice, &y, &mut pram, &mut sh, ("arr", 0), ("q", 0));
-                assert_eq!(got, lower_bound(&slice, &y), "p {p} y {y}");
+                assert_eq!(got, slice.partition_point(|k| *k < y), "p {p} y {y}");
                 assert!(sh.finish(), "p {p} y {y}: {:?}", sh.violations());
             }
         }

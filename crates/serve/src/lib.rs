@@ -10,17 +10,18 @@
 //!   `partition_point` per path node on the generation's native catalogs:
 //!   the sequential oracle itself. A served query names its leaf, so the
 //!   per-node searches are independent and need no cascade;
-//! * [`epoch::EpochPtr`] — epoch-based hot swap: every update batch
-//!   publishes with one atomic swap before it is acked, in-flight readers
-//!   drain on the old generation, and
-//!   retired generations are reclaimed only when every reader slot has
-//!   moved past the retire epoch (readers never block on the writer);
+//! * hot swap of immutable generations through one `RwLock<Arc<_>>`:
+//!   every update batch publishes before it is acked, a reader pins with
+//!   one read lock held for an `Arc::clone`, a publish holds the write
+//!   lock for one pointer swap, and in-flight readers drain on the
+//!   generation they pinned;
 //! * [`queue::AdmissionQueue`] — bounded admission with immediate load
 //!   shedding;
 //! * a per-query deadline, checked once when a worker picks the query up;
-//! * a background auditor thread running `fc-resilience`'s audit on a
-//!   schedule (building a generation's derived data on first use),
-//!   repairing the writer's structure and republishing.
+//! * [`Service::audit_blocking`]: `fc-resilience`'s audit of the published
+//!   generation (building its derived data on first use), repairing the
+//!   writer's structure and republishing — run when called, never in the
+//!   background.
 //!
 //! The service's contract: **a query either returns an answer equal to the
 //! sequential oracle on the generation that served it, or a typed
@@ -30,15 +31,14 @@
 //! harness (`examples/chaos_serve.rs`, `tests/serve_concurrency.rs`)
 //! asserts this over ≥10⁵ mixed query/update/fault operations.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod epoch;
 pub mod error;
 pub mod queue;
 pub mod service;
 mod worker;
 
-pub use epoch::EpochPtr;
 pub use error::ServeError;
 pub use queue::{AdmissionQueue, PushError};
 pub use service::{

@@ -1,25 +1,28 @@
-//! The query service: workers, auditor, updates, and generation publishing.
+//! The query service: workers, updates, audits, and generation publishing.
 //!
 //! ## Threads and ownership
 //!
-//! * **Query workers** (`cfg.workers` threads) pop jobs from the
-//!   [`AdmissionQueue`] and execute them against an immutable published
-//!   [`Generation`] acquired through the [`EpochPtr`]. Workers never touch
-//!   the writer state, so queries make progress during updates and
-//!   repairs by construction — there is no lock a reader could wait on.
+//! * **Query workers** (`cfg.workers` threads, the service's only
+//!   threads) pop jobs from the [`AdmissionQueue`] and execute them
+//!   against an immutable published [`Generation`]. A worker pins the
+//!   generation with one read lock held for an [`Arc::clone`]; it never
+//!   touches the writer state, so queries make progress during updates
+//!   and repairs.
 //! * **The writer** (a [`Mutex`]-guarded current structure plus its
 //!   logical generation) is mutated only by update callers, fault
-//!   injection and the auditor. Every update batch that changes the
-//!   catalogs is applied to a copy of the writer's native catalogs
-//!   ([`CatalogTree::apply_batch`]), wrapped as a deferred
-//!   [`CoopStructure`] and published with one atomic swap before
-//!   [`Service::update_batch`] returns, so a query admitted after the ack
-//!   sees the write. In-flight queries drain on the generation they pinned.
-//! * **The auditor** wakes on a schedule (or on demand via
-//!   [`Service::trigger_audit`]) and audits the *published* generation,
-//!   building its derived data first if no one has yet; on corruption it
-//!   repairs the writer's structure (localized, audit-guided, copy on
-//!   write) and republishes.
+//!   injection and [`Service::audit_blocking`]. Every update batch that
+//!   changes the catalogs is applied to a copy of the writer's native
+//!   catalogs ([`CatalogTree::apply_batch`]), wrapped as a deferred
+//!   [`CoopStructure`] and published before [`Service::update_batch`]
+//!   returns, so a query admitted after the ack sees the write. A publish
+//!   builds its generation outside the cell and swaps it in under the
+//!   cell's write lock; the old one drops after the lock is released, so
+//!   a pin waits for at most one pointer swap. In-flight queries drain on
+//!   the generation they pinned.
+//! * **Audits** run only when [`Service::audit_blocking`] is called: it
+//!   audits the *published* generation, building its derived data first
+//!   if no one has yet; on corruption it repairs the writer's structure
+//!   (localized, audit-guided, copy on write) and republishes.
 //!
 //! ## Answer integrity
 //!
@@ -31,7 +34,6 @@
 //! carries native catalogs only, so it also replaces any corrupted derived
 //! data: an injected fault lasts until the next write or repair.
 
-use crate::epoch::EpochPtr;
 use crate::error::ServeError;
 use crate::queue::{AdmissionQueue, PushError};
 use crate::worker;
@@ -40,7 +42,7 @@ use fc_coop::dynamic::{GenStats, UpdateOp};
 use fc_coop::{CoopStructure, ParamMode};
 use fc_resilience::{audit, repair, FaultPlan, FaultSpec};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Mutex, RwLock};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -53,7 +55,8 @@ pub struct ServeConfig {
     pub queue_cap: usize,
     /// Deadline applied when a query does not carry its own.
     pub default_deadline: Duration,
-    /// Background audit period (the auditor also wakes on demand).
+    /// Has no effect: audits run only when [`Service::audit_blocking`] is
+    /// called. Kept until the benchmark stops setting it.
     pub audit_interval: Duration,
     /// Has no effect: the writer keeps no PRAM cost meter. Kept until the
     /// benchmark stops setting it.
@@ -188,7 +191,7 @@ pub struct ReplicaHealth {
     pub shed: u64,
     /// Queries admitted so far.
     pub submitted: u64,
-    /// Current epoch of the generation pointer (bumped once per publish).
+    /// Id of the published generation: the publishes so far (0 at start).
     pub epoch: u64,
 }
 
@@ -200,24 +203,21 @@ impl ReplicaHealth {
     }
 }
 
-/// State shared by the service handle, the workers, and the auditor.
+/// State shared by the service handle and the workers.
 pub(crate) struct Shared<K: CatalogKey> {
     pub(crate) cfg: ServeConfig,
-    pub(crate) epoch: EpochPtr<Generation<K>>,
+    /// The published generation. Held for reading only as long as an
+    /// `Arc::clone` takes, and for writing only as long as a swap takes.
+    pub(crate) generation: RwLock<Arc<Generation<K>>>,
     pub(crate) queue: AdmissionQueue<Job<K>>,
     pub(crate) stats: Stats,
     pub(crate) shutdown: AtomicBool,
-    pub(crate) audit_wake: (Mutex<bool>, Condvar),
 }
 
 impl<K: CatalogKey> Shared<K> {
-    /// Wake the auditor thread now (idempotent).
-    pub(crate) fn request_audit(&self) {
-        let (lock, cv) = &self.audit_wake;
-        let mut pending = lock.lock().unwrap_or_else(|p| p.into_inner());
-        *pending = true;
-        drop(pending);
-        cv.notify_all();
+    /// Pin the published generation.
+    pub(crate) fn pin(&self) -> Arc<Generation<K>> {
+        Arc::clone(&self.generation.read().unwrap_or_else(|p| p.into_inner()))
     }
 }
 
@@ -237,23 +237,16 @@ pub(crate) struct Writer<K: CatalogKey> {
 /// final counters.
 pub struct Service<K: CatalogKey> {
     shared: Arc<Shared<K>>,
-    writer: Arc<Mutex<Writer<K>>>,
+    writer: Mutex<Writer<K>>,
     workers: Vec<JoinHandle<()>>,
-    auditor: Option<JoinHandle<()>>,
-    ext_slot: usize,
-    ext_lock: Mutex<()>,
 }
 
 impl<K: CatalogKey> Service<K> {
-    /// Preprocess `tree` on the caller's thread, publish it as generation
-    /// 0, and spawn the worker pool and the auditor.
+    /// Publish `tree` as generation 0 and spawn the worker pool. The
+    /// structure is deferred: its derived data is built on first use, and
+    /// the served read never uses it.
     pub fn start(tree: CatalogTree<K>, mode: ParamMode, cfg: ServeConfig) -> Self {
-        Self::from_structure(
-            Arc::new(CoopStructure::preprocess(tree, mode)),
-            0,
-            mode,
-            cfg,
-        )
+        Self::from_structure(Arc::new(CoopStructure::deferred(tree, mode)), 0, mode, cfg)
     }
 
     /// Serve an existing structure: the writer and generation 0 share `st`
@@ -272,17 +265,14 @@ impl<K: CatalogKey> Service<K> {
             id: 0,
             st: Arc::clone(&st),
         });
-        // Slot layout: [0, workers) = query workers, then auditor, then one
-        // externally lockable slot for Service::snapshot/audit_blocking.
         let shared = Arc::new(Shared {
-            epoch: EpochPtr::new(gen0, cfg.workers + 2),
+            generation: RwLock::new(gen0),
             queue: AdmissionQueue::new(cfg.queue_cap),
             stats: Stats::default(),
             shutdown: AtomicBool::new(false),
-            audit_wake: (Mutex::new(false), Condvar::new()),
             cfg,
         });
-        let writer = Arc::new(Mutex::new(Writer {
+        let writer = Mutex::new(Writer {
             st,
             mode,
             gen: GenStats {
@@ -290,32 +280,20 @@ impl<K: CatalogKey> Service<K> {
                 ..GenStats::default()
             },
             next_gen: 0,
-        }));
+        });
         let workers = (0..shared.cfg.workers)
-            .map(|slot| {
+            .map(|i| {
                 let sh = Arc::clone(&shared);
                 thread::Builder::new()
-                    .name(format!("fc-serve-w{slot}"))
-                    .spawn(move || worker::worker_loop(sh, slot))
+                    .name(format!("fc-serve-w{i}"))
+                    .spawn(move || worker::worker_loop(sh))
                     .expect("spawn query worker")
             })
             .collect();
-        let auditor_slot = shared.cfg.workers;
-        let auditor = {
-            let sh = Arc::clone(&shared);
-            let wr = Arc::clone(&writer);
-            thread::Builder::new()
-                .name("fc-serve-auditor".to_owned())
-                .spawn(move || auditor_loop(sh, wr, auditor_slot))
-                .expect("spawn auditor")
-        };
         Service {
-            ext_slot: auditor_slot + 1,
             shared,
             writer,
             workers,
-            auditor: Some(auditor),
-            ext_lock: Mutex::new(()),
         }
     }
 
@@ -388,7 +366,7 @@ impl<K: CatalogKey> Service<K> {
         w.gen.rebuilds += 1;
         w.gen.last_drained = changed;
         w.gen.total_drained += changed;
-        // fc-lint: allow(lock-discipline) -- by design: publish_locked requires the writer lock; readers never take it (epoch pin only)
+        // fc-lint: allow(lock-discipline) -- by design: publish_locked requires the writer lock; readers never take it (they pin through the generation cell)
         publish_locked(&self.shared, w);
         true
     }
@@ -403,29 +381,41 @@ impl<K: CatalogKey> Service<K> {
         let w = &mut *guard;
         let plan = FaultPlan::generate(&w.st, spec, seed);
         plan.apply(Arc::make_mut(&mut w.st));
-        // fc-lint: allow(lock-discipline) -- by design: publish_locked requires the writer lock; readers never take it (epoch pin only)
+        // fc-lint: allow(lock-discipline) -- by design: publish_locked requires the writer lock; readers never take it (they pin through the generation cell)
         publish_locked(&self.shared, w);
         plan
     }
 
-    /// Wake the background auditor now.
-    pub fn trigger_audit(&self) {
-        self.shared.request_audit();
-    }
-
-    /// Run one audit cycle synchronously on the caller's thread (same
-    /// logic as the background auditor). Returns `true` if corruption was
-    /// found (and repaired + republished).
+    /// Run one audit synchronously on the caller's thread: audit the
+    /// published generation (building its derived data if no one has
+    /// yet); on corruption, repair the writer's structure (localized,
+    /// audit-guided) and republish. Returns `true` if corruption was found.
     pub fn audit_blocking(&self) -> bool {
-        let _ext = self.ext_lock.lock().unwrap_or_else(|p| p.into_inner());
-        // fc-lint: allow(lock-discipline) -- intentional: ext_lock serializes external pin/audit callers; audit_cycle's publish happens under the writer lock it takes itself
-        audit_cycle(&self.shared, &self.writer, self.ext_slot)
+        let s = &self.shared;
+        s.stats.audits_run.fetch_add(1, SeqCst);
+        if audit(&s.pin().st).is_clean() {
+            return false;
+        }
+        s.stats.audits_dirty.fetch_add(1, SeqCst);
+        // Repair under the writer lock — queries never take it, they keep
+        // draining on published generations while the repair runs. A
+        // write since the audit has already replaced the corrupted
+        // structure, and then there is nothing to repair.
+        let mut guard = self.writer.lock().unwrap_or_else(|p| p.into_inner());
+        let w = &mut *guard;
+        let writer_report = audit(&w.st);
+        if !writer_report.is_clean() {
+            repair(Arc::make_mut(&mut w.st), &writer_report);
+        }
+        s.stats.repairs.fetch_add(1, SeqCst);
+        // fc-lint: allow(lock-discipline) -- by design: the repaired state must publish before the writer lock is released, or a writer could republish corruption
+        publish_locked(s, w);
+        true
     }
 
     /// Pin and return the currently published generation.
     pub fn snapshot(&self) -> Arc<Generation<K>> {
-        let _ext = self.ext_lock.lock().unwrap_or_else(|p| p.into_inner());
-        self.shared.epoch.load(self.ext_slot)
+        self.shared.pin()
     }
 
     /// Generation counters of the writer: `generation` is the logical
@@ -446,7 +436,7 @@ impl<K: CatalogKey> Service<K> {
             queue_cap: self.shared.queue.capacity(),
             shed: self.shared.stats.shed.load(SeqCst),
             submitted: self.shared.stats.submitted.load(SeqCst),
-            epoch: self.shared.epoch.epoch(),
+            epoch: self.shared.stats.generations_published.load(SeqCst),
         }
     }
 
@@ -473,7 +463,7 @@ impl<K: CatalogKey> Service<K> {
         }
     }
 
-    /// Stop admitting, drain, join all threads, and return the final
+    /// Stop admitting, drain, join the workers, and return the final
     /// counters.
     pub fn shutdown(mut self) -> ServeStats {
         self.stop();
@@ -483,14 +473,9 @@ impl<K: CatalogKey> Service<K> {
     fn stop(&mut self) {
         self.shared.shutdown.store(true, SeqCst);
         self.shared.queue.close();
-        self.shared.request_audit();
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
-        if let Some(h) = self.auditor.take() {
-            let _ = h.join();
-        }
-        self.shared.epoch.try_reclaim();
     }
 }
 
@@ -502,71 +487,21 @@ impl<K: CatalogKey> Drop for Service<K> {
 
 /// Publish the writer's structure: the new generation shares the writer's
 /// `Arc` (no copy; a later repair or fault injection copies before it
-/// writes). Caller holds the writer lock; readers are unaffected (one
-/// atomic swap).
+/// writes). Caller holds the writer lock. The generation is built before
+/// the cell's write lock is taken and the old one is dropped after it is
+/// released, so a pin waits for at most the swap.
 pub(crate) fn publish_locked<K: CatalogKey>(shared: &Shared<K>, w: &mut Writer<K>) {
     w.next_gen += 1;
     let gen = Arc::new(Generation {
         id: w.next_gen,
         st: Arc::clone(&w.st),
     });
-    shared.epoch.swap(gen);
+    let old = std::mem::replace(
+        &mut *shared.generation.write().unwrap_or_else(|p| p.into_inner()),
+        gen,
+    );
     shared.stats.generations_published.fetch_add(1, SeqCst);
-}
-
-/// One auditor cycle: audit the published generation (building its
-/// derived data if no one has yet); on corruption, repair the writer's
-/// structure (localized, audit-guided) and republish. Returns `true` if
-/// corruption was found.
-pub(crate) fn audit_cycle<K: CatalogKey>(
-    shared: &Shared<K>,
-    writer: &Mutex<Writer<K>>,
-    slot: usize,
-) -> bool {
-    shared.stats.audits_run.fetch_add(1, SeqCst);
-    let gen = shared.epoch.load(slot);
-    if audit(&gen.st).is_clean() {
-        return false;
-    }
-    shared.stats.audits_dirty.fetch_add(1, SeqCst);
-
-    // Repair the writer's structure under its lock — queries never take
-    // this lock, they keep draining on published generations while the
-    // repair runs. A write since the audit has already replaced the
-    // corrupted structure, and then this audit finds nothing to repair.
-    {
-        let mut guard = writer.lock().unwrap_or_else(|p| p.into_inner());
-        let w = &mut *guard;
-        let writer_report = audit(&w.st);
-        if !writer_report.is_clean() {
-            repair(Arc::make_mut(&mut w.st), &writer_report);
-        }
-        shared.stats.repairs.fetch_add(1, SeqCst);
-        // fc-lint: allow(lock-discipline) -- by design: the repaired state must publish before the writer lock is released, or a writer could republish corruption
-        publish_locked(shared, w);
-    }
-    true
-}
-
-fn auditor_loop<K: CatalogKey>(shared: Arc<Shared<K>>, writer: Arc<Mutex<Writer<K>>>, slot: usize) {
-    loop {
-        {
-            let (lock, cv) = &shared.audit_wake;
-            let mut pending = lock.lock().unwrap_or_else(|p| p.into_inner());
-            if !*pending {
-                let (g, _) = cv
-                    .wait_timeout(pending, shared.cfg.audit_interval)
-                    .unwrap_or_else(|p| p.into_inner());
-                pending = g;
-            }
-            *pending = false;
-        }
-        if shared.shutdown.load(SeqCst) {
-            break;
-        }
-        audit_cycle(&shared, &writer, slot);
-        shared.epoch.try_reclaim();
-    }
+    drop(old);
 }
 
 #[cfg(test)]
@@ -590,7 +525,6 @@ mod tests {
             workers: 2,
             queue_cap: 64,
             default_deadline: Duration::from_secs(5),
-            audit_interval: Duration::from_secs(3600), // manual audits only
             ..ServeConfig::default()
         }
     }
@@ -674,6 +608,64 @@ mod tests {
         assert_eq!((gs.generation, gs.rebuilds, gs.pending), (2, 2, 0));
         let stats = svc.shutdown();
         assert_eq!(stats.generations_published, 2);
+    }
+
+    /// Readers pin generations through a run of publishes while the test
+    /// keeps a `Weak` of each one: once the readers are gone, every
+    /// generation but the current one has been freed.
+    #[test]
+    fn retired_generations_are_freed_once_readers_let_go() {
+        const PUBLISHES: u64 = 200;
+        let mut rng = SmallRng::seed_from_u64(911);
+        let tree = gen::balanced_binary(5, 800, SizeDist::Uniform, &mut rng);
+        let svc = Arc::new(Service::start(tree, ParamMode::Auto, small_cfg()));
+        let snap0 = svc.snapshot();
+        let leaves = snap0.st.tree().leaves();
+        let node = snap0.st.tree().root();
+        let mut weaks = vec![Arc::downgrade(&snap0)];
+        drop(snap0);
+        let answered = Arc::new(AtomicU64::new(0));
+        let stop = Arc::new(AtomicBool::new(false));
+        let readers: Vec<_> = (0..3u64)
+            .map(|t| {
+                let (svc, leaves) = (Arc::clone(&svc), leaves.clone());
+                let (answered, stop) = (Arc::clone(&answered), Arc::clone(&stop));
+                thread::spawn(move || {
+                    let mut rng = SmallRng::seed_from_u64(920 + t);
+                    let mut last = 0u64;
+                    while !stop.load(SeqCst) {
+                        let leaf = leaves[rng.gen_range(0..leaves.len())];
+                        let ok = svc
+                            .query_blocking(leaf, rng.gen_range(0..3_000_000i64), None)
+                            .expect("query");
+                        assert!(ok.gen.id >= last, "generations went backwards");
+                        last = ok.gen.id;
+                        answered.fetch_add(1, SeqCst);
+                    }
+                })
+            })
+            .collect();
+        while answered.load(SeqCst) < 30 {
+            thread::yield_now();
+        }
+        for k in 0..PUBLISHES as i64 {
+            assert!(svc.update(UpdateOp::Insert(node, 2_000_000 + k)));
+            weaks.push(Arc::downgrade(&svc.snapshot()));
+        }
+        stop.store(true, SeqCst);
+        for r in readers {
+            r.join().expect("reader panicked");
+        }
+        let live: Vec<u64> = weaks
+            .iter()
+            .filter_map(|w| w.upgrade())
+            .map(|g| g.id)
+            .collect();
+        assert_eq!(
+            live,
+            vec![PUBLISHES],
+            "only the current generation may stay live"
+        );
     }
 
     #[test]

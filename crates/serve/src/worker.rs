@@ -22,7 +22,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Worker thread body: drain the admission queue until it closes.
-pub(crate) fn worker_loop<K: CatalogKey>(shared: Arc<Shared<K>>, slot: usize) {
+pub(crate) fn worker_loop<K: CatalogKey>(shared: Arc<Shared<K>>) {
     while let Some(job) = shared.queue.pop() {
         let Job {
             leaf,
@@ -30,7 +30,7 @@ pub(crate) fn worker_loop<K: CatalogKey>(shared: Arc<Shared<K>>, slot: usize) {
             deadline,
             resp,
         } = job;
-        let result = execute(&shared, slot, leaf, y, deadline);
+        let result = execute(&shared, leaf, y, deadline);
         match &result {
             Ok(_) => {
                 shared.stats.completed_exact.fetch_add(1, SeqCst);
@@ -47,7 +47,6 @@ pub(crate) fn worker_loop<K: CatalogKey>(shared: Arc<Shared<K>>, slot: usize) {
 
 fn execute<K: CatalogKey>(
     shared: &Shared<K>,
-    slot: usize,
     leaf: NodeId,
     y: K,
     deadline: Instant,
@@ -64,7 +63,7 @@ fn execute<K: CatalogKey>(
             missed_by: now.saturating_duration_since(deadline),
         });
     }
-    let gen = shared.epoch.load(slot);
+    let gen = shared.pin();
     let tree = gen.st.tree();
     let path = tree.path_from_root(leaf);
     let mut answers = Vec::with_capacity(path.len());

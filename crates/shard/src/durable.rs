@@ -369,7 +369,6 @@ mod tests {
             replicas,
             serve: ServeConfig {
                 workers: 1,
-                audit_interval: Duration::from_secs(3600),
                 default_deadline: Duration::from_secs(5),
                 ..ServeConfig::default()
             },

@@ -4,7 +4,7 @@
 //! makes *many* of them a cluster. The key universe is partitioned into
 //! contiguous ranges by a versioned [`RoutingTable`]; each range is owned
 //! by a shard, and each shard is a [`ReplicaSet`] of independent
-//! `fc_serve::Service` instances (own workers, auditor, generation chain)
+//! `fc_serve::Service` instances (own workers, generation chain)
 //! started on one shared, copy-on-write structure. On top
 //! sit:
 //!
@@ -19,8 +19,9 @@
 //!   threads;
 //! * [`ShardCluster::split_shard`] / [`ShardCluster::rebalance_if_hot`] —
 //!   hot-shard splitting that publishes a `version + 1` routing table
-//!   through the same epoch hot-swap machinery generations use, without
-//!   blocking queries;
+//!   through the same kind of `RwLock<Arc<_>>` cell generations use: a
+//!   query pins the state with one read lock held for an `Arc::clone`,
+//!   and a split holds the write lock for one pointer swap;
 //! * a chaos hook ([`ShardCluster::inject`]) driving `fc-resilience`
 //!   fault plans per replica.
 //!
@@ -30,6 +31,7 @@
 //! cluster chaos test (`tests/shard_cluster.rs`) asserts this per leg
 //! while corrupting replicas and splitting a shard mid-storm.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod durable;

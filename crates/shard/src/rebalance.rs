@@ -7,7 +7,7 @@
 //! shard at its median key: the split snapshots the shard's authoritative
 //! catalogs, builds two new replica groups over the two half-ranges, and
 //! publishes a `ClusterState` with a `version + 1` routing table through
-//! the cluster's epoch pointer.
+//! the cluster's routing cell.
 //!
 //! ## Protocol (and why it is safe mid-traffic)
 //!
@@ -81,9 +81,7 @@ impl<K: CatalogKey> ShardCluster<K> {
         let table = state.table.split(shard, median)?;
         // Build the two half-groups from the authoritative snapshot; the
         // other shards' groups are shared (Arc) with the old state.
-        // fc-lint: allow(lock-discipline) -- intentional: the half-groups build from the snapshot inside the split critical section
         let left = Arc::new(build_group(tree, &table, shard, self.mode(), &self.cfg));
-        // fc-lint: allow(lock-discipline) -- intentional: the half-groups build from the snapshot inside the split critical section
         let right = Arc::new(build_group(tree, &table, shard + 1, self.mode(), &self.cfg));
         let mut groups = Vec::with_capacity(state.groups.len() + 1);
         for (i, g) in state.groups.iter().enumerate() {
@@ -129,7 +127,6 @@ mod tests {
             replicas: 2,
             serve: ServeConfig {
                 workers: 1,
-                audit_interval: Duration::from_secs(3600),
                 default_deadline: Duration::from_secs(5),
                 ..ServeConfig::default()
             },
@@ -190,6 +187,63 @@ mod tests {
         }
         drop(victim);
         cluster.shutdown();
+    }
+
+    /// Readers pin routing states through a run of splits while the test
+    /// keeps a `Weak` of each one: once the readers are gone, every state
+    /// but the current one has been freed, with the groups it retired.
+    #[test]
+    fn retired_routing_states_are_freed_once_readers_let_go() {
+        use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
+        use std::sync::Arc;
+        const SPLITS: u64 = 4;
+        let mut rng = SmallRng::seed_from_u64(69);
+        let tree = gen::balanced_binary(5, 1200, SizeDist::Uniform, &mut rng);
+        let cluster = Arc::new(crate::ShardCluster::start(&tree, ParamMode::Auto, cfg()));
+        let leaves = cluster.leaves();
+        let mut weaks = vec![Arc::downgrade(&cluster.state())];
+        let answered = Arc::new(AtomicU64::new(0));
+        let stop = Arc::new(AtomicBool::new(false));
+        let readers: Vec<_> = (0..2u64)
+            .map(|t| {
+                let (cluster, leaves) = (Arc::clone(&cluster), leaves.clone());
+                let (answered, stop) = (Arc::clone(&answered), Arc::clone(&stop));
+                std::thread::spawn(move || {
+                    let mut rng = SmallRng::seed_from_u64(70 + t);
+                    let mut last = 0u64;
+                    while !stop.load(SeqCst) {
+                        let leaf = leaves[rng.gen_range(0..leaves.len())];
+                        let ok = cluster
+                            .query_blocking(leaf, rng.gen_range(-100..25_000i64), None)
+                            .expect("query");
+                        assert!(ok.table_version >= last, "table versions went backwards");
+                        last = ok.table_version;
+                        answered.fetch_add(1, SeqCst);
+                    }
+                })
+            })
+            .collect();
+        while answered.load(SeqCst) < 20 {
+            std::thread::yield_now();
+        }
+        for _ in 0..SPLITS {
+            cluster.split_shard(0).expect("split must succeed");
+            weaks.push(Arc::downgrade(&cluster.state()));
+        }
+        stop.store(true, SeqCst);
+        for r in readers {
+            r.join().expect("reader panicked");
+        }
+        let live: Vec<u64> = weaks
+            .iter()
+            .filter_map(|w| w.upgrade())
+            .map(|s| s.table.version())
+            .collect();
+        assert_eq!(
+            live,
+            vec![cluster.table_version()],
+            "only the current state may stay live"
+        );
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! A replicated group of independent [`Service`] instances for one shard.
 //!
 //! Replication here is for *availability*, not for durability: each
-//! replica runs its own worker pool, auditor, and generation chain over the
-//! same logical key set. Updates are applied to every replica; faults are
+//! replica runs its own worker pool and generation chain over the same
+//! logical key set. Updates are applied to every replica; faults are
 //! injected (and repaired) per replica. The router sends each query to the
 //! least-loaded replica and fails over to a peer when the chosen replica
 //! returns a typed error (shed, timeout, shutdown) — so one saturated
@@ -88,14 +88,12 @@ mod tests {
     use fc_serve::ServeConfig;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
-    use std::time::Duration;
 
     fn mk_service(seed: u64) -> Service<i64> {
         let mut rng = SmallRng::seed_from_u64(seed);
         let tree = gen::balanced_binary(4, 300, SizeDist::Uniform, &mut rng);
         let cfg = ServeConfig {
             workers: 1,
-            audit_interval: Duration::from_secs(3600),
             ..ServeConfig::default()
         };
         Service::start(tree, ParamMode::Auto, cfg)

@@ -35,9 +35,9 @@ use fc_catalog::{CatalogKey, CatalogTree, NodeId};
 use fc_coop::dynamic::UpdateOp;
 use fc_coop::{CoopStructure, ParamMode};
 use fc_resilience::{FaultPlan, FaultSpec};
-use fc_serve::{EpochPtr, Generation, QueryOk, ReplicaHealth, ServeConfig, ServeError, Service};
+use fc_serve::{Generation, QueryOk, ReplicaHealth, ServeConfig, ServeError, Service};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::SeqCst};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 /// Tunables for [`ShardCluster::start`].
@@ -69,13 +69,12 @@ impl Default for ShardConfig {
 
 /// Maximum scatter legs (owner + escalations) per query.
 const ESCALATION_LEGS: usize = 8;
-/// Concurrent reader slots on the cluster's routing-state pointer.
-const READER_SLOTS: usize = 16;
 
-/// One immutable routing epoch: a versioned table plus the replica groups
-/// it indexes. Rebalancing publishes a *new* `ClusterState` through the
-/// cluster's [`EpochPtr`]; in-flight queries keep the state they pinned
-/// (and therefore the `Arc`s of the groups they are querying) alive.
+/// One immutable routing state: a versioned table plus the replica groups
+/// it indexes. Rebalancing publishes a *new* `ClusterState` by swapping
+/// the cluster's routing cell; in-flight queries keep the state they
+/// pinned (and therefore the `Arc`s of the groups they are querying)
+/// alive.
 pub struct ClusterState<K: CatalogKey> {
     /// The versioned key-range → shard map.
     pub table: RoutingTable<K>,
@@ -202,8 +201,9 @@ impl ClusterWriteStats {
 /// thread.
 pub struct ShardCluster<K: CatalogKey> {
     pub(crate) cfg: ShardConfig,
-    pub(crate) epoch: EpochPtr<ClusterState<K>>,
-    slot_pool: Mutex<Vec<usize>>,
+    /// The published routing state, held for reading only as long as an
+    /// `Arc::clone` takes and for writing only as long as a swap takes.
+    routing: RwLock<Arc<ClusterState<K>>>,
     pub(crate) update_lock: Mutex<()>,
     pub(crate) stats: Stats,
     shutdown: AtomicBool,
@@ -213,7 +213,8 @@ pub struct ShardCluster<K: CatalogKey> {
 /// Build the replica group for one shard: filter the tree's catalogs to
 /// the shard's key range (the tree *shape* — parents, node ids, paths — is
 /// identical across shards, so a leaf names the same path everywhere),
-/// preprocess the result once, and start every replica on it.
+/// wrap the result as one deferred structure (its derived data is built
+/// on first use), and start every replica on it.
 pub(crate) fn build_group<K: CatalogKey>(
     tree: &CatalogTree<K>,
     table: &RoutingTable<K>,
@@ -234,7 +235,7 @@ pub(crate) fn build_group<K: CatalogKey>(
         })
         .collect();
     let sub = CatalogTree::from_parents(parents, catalogs);
-    let st = Arc::new(CoopStructure::preprocess(sub, mode));
+    let st = Arc::new(CoopStructure::deferred(sub, mode));
     build_group_from_structure(&st, 0, mode, cfg)
 }
 
@@ -282,8 +283,7 @@ impl<K: CatalogKey> ShardCluster<K> {
             .collect();
         let state = Arc::new(ClusterState { table, groups });
         ShardCluster {
-            epoch: EpochPtr::new(state, READER_SLOTS),
-            slot_pool: Mutex::new((0..READER_SLOTS).collect()),
+            routing: RwLock::new(state),
             update_lock: Mutex::new(()),
             stats: Stats::default(),
             shutdown: AtomicBool::new(false),
@@ -317,8 +317,7 @@ impl<K: CatalogKey> ShardCluster<K> {
             .collect();
         let state = Arc::new(ClusterState { table, groups });
         Some(ShardCluster {
-            epoch: EpochPtr::new(state, READER_SLOTS),
-            slot_pool: Mutex::new((0..READER_SLOTS).collect()),
+            routing: RwLock::new(state),
             update_lock: Mutex::new(()),
             stats: Stats::default(),
             shutdown: AtomicBool::new(false),
@@ -330,30 +329,18 @@ impl<K: CatalogKey> ShardCluster<K> {
     /// Pin and return the current routing state (table + groups). The
     /// returned `Arc` stays valid across concurrent rebalances.
     pub fn state(&self) -> Arc<ClusterState<K>> {
-        let slot = loop {
-            let popped = {
-                self.slot_pool
-                    .lock()
-                    .unwrap_or_else(|p| p.into_inner())
-                    .pop()
-            };
-            if let Some(s) = popped {
-                break s;
-            }
-            std::thread::yield_now();
-        };
-        let st = self.epoch.load(slot);
-        self.slot_pool
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .push(slot);
-        st
+        Arc::clone(&self.routing.read().unwrap_or_else(|p| p.into_inner()))
     }
 
-    /// Publish a new routing state (rebalancer-internal).
+    /// Publish a new routing state (rebalancer-internal). The old state
+    /// drops only after the write lock is released: dropping the last
+    /// reference to a retired group shuts its replicas down.
     pub(crate) fn publish_state(&self, state: Arc<ClusterState<K>>) {
-        self.epoch.swap(state);
-        self.epoch.try_reclaim();
+        let old = std::mem::replace(
+            &mut *self.routing.write().unwrap_or_else(|p| p.into_inner()),
+            state,
+        );
+        drop(old);
     }
 
     /// The parameter mode replicas are built with (rebalancer-internal).
@@ -795,17 +782,7 @@ impl<K: CatalogKey> ShardCluster<K> {
         Some(svc.inject(spec, seed))
     }
 
-    /// Wake every replica's background auditor.
-    pub fn trigger_audit_all(&self) {
-        let state = self.state();
-        for group in &state.groups {
-            for svc in group.iter() {
-                svc.trigger_audit();
-            }
-        }
-    }
-
-    /// Run a synchronous audit cycle on every replica; returns how many
+    /// Run [`Service::audit_blocking`] on every replica; returns how many
     /// replicas had corruption (and were repaired + republished).
     pub fn audit_blocking_all(&self) -> usize {
         let state = self.state();
@@ -911,7 +888,6 @@ mod tests {
             replicas,
             serve: ServeConfig {
                 workers: 1,
-                audit_interval: Duration::from_secs(3600),
                 default_deadline: Duration::from_secs(5),
                 ..ServeConfig::default()
             },

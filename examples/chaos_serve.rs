@@ -5,7 +5,7 @@
 //! and asserts the service's core contract: **zero silently-wrong
 //! answers**. Every `Ok` answer is re-checked against the sequential
 //! oracle on the generation that served it; load may cost *detected*
-//! outcomes (timeouts, sheds), never correctness, and the auditor must
+//! outcomes (timeouts, sheds), never correctness, and the audits must
 //! catch and repair injected corruption. Each update batch publishes
 //! fresh derived data, so every injection is audited before the next
 //! write.
@@ -25,7 +25,7 @@ use std::time::{Duration, Instant};
 
 const TOTAL_OPS: usize = 120_000;
 const INJECT_EVERY: usize = 6_000; // structural fault injections
-const AUDIT_EVERY: usize = 1_000; // explicit auditor wake-ups
+const AUDIT_EVERY: usize = 1_000; // synchronous audits
 const DRAIN_AT: usize = 384; // in-flight queries before draining
 
 fn oracle(st: &CoopStructure<i64>, path: &[NodeId], y: i64) -> Vec<Option<i64>> {
@@ -75,7 +75,6 @@ fn main() {
         workers: 4,
         queue_cap: 512,
         default_deadline: Duration::from_millis(250),
-        audit_interval: Duration::from_millis(20),
         ..ServeConfig::default()
     };
     let svc = Service::start(tree, ParamMode::Auto, cfg);
@@ -98,7 +97,7 @@ fn main() {
             injections += plan.structural_len() as u64;
             svc.audit_blocking();
         } else if op % AUDIT_EVERY == 0 {
-            svc.trigger_audit();
+            svc.audit_blocking();
         } else if rng.gen_bool(0.10) {
             let ops: Vec<UpdateOp<i64>> = (0..8)
                 .map(|_| {
@@ -155,7 +154,7 @@ fn main() {
     assert!(injections > 0, "chaos must actually inject faults");
     assert!(
         stats.audits_dirty > 0,
-        "injected corruption must be caught by the auditor"
+        "injected corruption must be caught by the audits"
     );
     assert!(stats.repairs > 0, "caught corruption must be repaired");
     let answered = tally.answered;

@@ -43,7 +43,6 @@ fn demo_cfg() -> ShardConfig {
         replicas: 2,
         serve: ServeConfig {
             workers: 1,
-            audit_interval: Duration::from_secs(3600),
             default_deadline: Duration::from_secs(5),
             ..ServeConfig::default()
         },

@@ -86,7 +86,6 @@ fn server_role() -> i32 {
             serve: ServeConfig {
                 workers: 2,
                 default_deadline: Duration::from_secs(5),
-                audit_interval: Duration::from_millis(250),
                 ..ServeConfig::default()
             },
             batch_threads: 2,

@@ -26,7 +26,6 @@ fn main() {
         replicas: 2,
         serve: ServeConfig {
             workers: 2,
-            audit_interval: Duration::from_millis(50),
             default_deadline: Duration::from_secs(5),
             ..ServeConfig::default()
         },

@@ -81,7 +81,6 @@ fn chaos_cfg() -> ShardConfig {
             workers: 2,
             queue_cap: 256,
             default_deadline: Duration::from_secs(10),
-            audit_interval: Duration::from_millis(40),
             ..ServeConfig::default()
         },
         batch_threads: 2,
@@ -214,7 +213,9 @@ fn incremental_storm_no_silent_wrongness_then_heals() {
                     injected += 1;
                 }
             }
-            _ => cluster.trigger_audit_all(),
+            _ => {
+                cluster.audit_blocking_all();
+            }
         }
     }
     assert!(injected > 0, "the storm must actually inject faults");
@@ -252,7 +253,6 @@ fn crash_cfg() -> ShardConfig {
         replicas: 2,
         serve: ServeConfig {
             workers: 1,
-            audit_interval: Duration::from_secs(3600),
             default_deadline: Duration::from_secs(5),
             ..ServeConfig::default()
         },

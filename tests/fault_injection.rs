@@ -192,7 +192,7 @@ fn dynamic_search_after_buffer_repair_matches_logical_catalogs() {
     assert!(dy.audit_buffers().is_err());
 
     // Repair = drop buffer entries that contradict the authoritative
-    // static catalogs (what fc-serve's auditor does), then re-audit.
+    // static catalogs (what fc-serve's audit does), then re-audit.
     let statics: Vec<Vec<i64>> = {
         let tree = dy.structure().tree();
         tree.ids().map(|id| tree.catalog(id).to_vec()).collect()

@@ -130,7 +130,6 @@ fn small_cluster(tree: &CatalogTree<i64>) -> Arc<ShardCluster<i64>> {
             serve: ServeConfig {
                 workers: 2,
                 default_deadline: Duration::from_secs(5),
-                audit_interval: Duration::from_millis(500),
                 ..ServeConfig::default()
             },
             batch_threads: 1,
@@ -297,7 +296,6 @@ fn health_frame_heat_equals_the_rebalancer_score() {
             serve: ServeConfig {
                 workers: 0,
                 queue_cap: 2,
-                audit_interval: Duration::from_secs(3600),
                 ..ServeConfig::default()
             },
             ..ShardConfig::default()

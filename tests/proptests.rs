@@ -23,9 +23,7 @@ use fc_coop::{CoopStructure, ParamMode};
 use fc_geom::cooploc::locate_coop;
 use fc_geom::septree::{locate_sequential, SeparatorTree};
 use fc_geom::subdivision::{MonotoneSubdivision, SubdivisionParams};
-use fc_pram::primitives::{
-    coop_lower_bound, lower_bound, merge_par, merge_seq, prefix_sum_par, prefix_sum_seq,
-};
+use fc_pram::primitives::{coop_lower_bound, merge_par, merge_seq, prefix_sum_par, prefix_sum_seq};
 use fc_pram::{Model, Pram};
 use fc_retrieval::segint::{HQuery, SegmentIntersection, VSegment};
 use rand::rngs::SmallRng;
@@ -52,7 +50,10 @@ fn prop_coop_lower_bound() {
         let y = rng.gen_range(-1100i64..1100);
         let p = rng.gen_range(1usize..600);
         let mut pram = Pram::new(p, Model::Crew);
-        assert_eq!(coop_lower_bound(&v, &y, &mut pram), lower_bound(&v, &y));
+        assert_eq!(
+            coop_lower_bound(&v, &y, &mut pram),
+            v.partition_point(|k| *k < y)
+        );
     });
 }
 
@@ -455,7 +456,7 @@ fn prop_flat_arena_matches_nested_oracle_across_shape_sweep() {
                         assert_eq!(i, aug.keys.partition_point(|x| *x < y));
                         assert_eq!(
                             fc.native_result(v, i).native_idx as usize,
-                            lower_bound(native, &y),
+                            native.partition_point(|x| *x < y),
                             "{} bidir={bidir} node {v:?} y {y}",
                             shape.label()
                         );

@@ -228,7 +228,6 @@ fn served_read_is_correct_under_every_fault_kind() {
     ];
     let cfg = ServeConfig {
         workers: 1,
-        audit_interval: Duration::from_secs(3600),
         default_deadline: Duration::from_secs(10),
         ..ServeConfig::default()
     };

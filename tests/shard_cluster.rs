@@ -12,7 +12,7 @@
 //!    keep answering across it.
 //!
 //! Beside the storm: the replicas of a shard start on one shared
-//! preprocessed structure (at start, after a split, after a cold start),
+//! structure (at start, after a split, after a cold start),
 //! and a fault injected into one replica never reaches its peer.
 
 use fc_catalog::{CatalogKey, NodeId};
@@ -73,7 +73,6 @@ fn chaos_cfg() -> ShardConfig {
             workers: 2,
             queue_cap: 256,
             default_deadline: Duration::from_secs(10),
-            audit_interval: Duration::from_millis(40),
             ..ServeConfig::default()
         },
         batch_threads: 2,
@@ -180,8 +179,10 @@ fn chaos_storm_no_silent_wrongness_and_full_answerability() {
                     injected += 1;
                 }
             }
-            // Kick the auditors.
-            _ => cluster.trigger_audit_all(),
+            // Audit (and repair) every replica.
+            _ => {
+                cluster.audit_blocking_all();
+            }
         }
     }
     assert!(injected > 0, "the storm must actually inject faults");
@@ -252,7 +253,6 @@ fn quiet_cfg(shards: usize) -> ShardConfig {
         replicas: 2,
         serve: ServeConfig {
             workers: 1,
-            audit_interval: Duration::from_secs(3600),
             default_deadline: Duration::from_secs(5),
             ..ServeConfig::default()
         },

@@ -57,7 +57,6 @@ fn cfg(shards: usize, replicas: usize) -> ShardConfig {
         replicas,
         serve: ServeConfig {
             workers: 1,
-            audit_interval: Duration::from_secs(3600),
             default_deadline: Duration::from_secs(5),
             ..ServeConfig::default()
         },
