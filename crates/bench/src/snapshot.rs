@@ -379,7 +379,7 @@ pub struct StoreSnapshot {
     /// Sustained WAL append throughput, ops/second (batches of 64).
     pub wal_ops_per_s: f64,
     /// Wall-clock milliseconds for full crash recovery: newest snapshot +
-    /// replay of every logged op + forced rebuild + blame audit.
+    /// replay of every logged op + one `apply_batch`.
     pub recover_ms: f64,
     /// Records the recovery replayed (sanity: must equal the batches).
     pub replayed_records: u64,

@@ -62,8 +62,44 @@ pub struct CatalogTree<K> {
     catalog_flat: Vec<K>,
     /// Catalog span offsets (`len() + 1` entries, monotone).
     cat_off: Vec<u32>,
-    root: NodeId,
 }
+
+/// Why [`CatalogTree::try_from_parents`] refused its arrays. The
+/// `Display` text is [`CatalogTree::from_parents`]'s panic message.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TreeError {
+    /// `parents` and `catalogs` are empty or differ in length.
+    Shape,
+    /// More nodes or catalog entries than the `u32` spans can address.
+    TooLarge,
+    /// Node `.0` is a second root.
+    MultipleRoots(u32),
+    /// Parent `.0` of node `.1` is not below it: out of range, a
+    /// self-loop, or out of topological order. Node 0 with a parent is
+    /// this error too: a tree without a root.
+    ParentAfterChild(u32, u32),
+    /// The catalog of node `.0` is not strictly increasing.
+    UnsortedCatalog(u32),
+    /// The catalog of node `.0` stores the `SUPREMUM` sentinel.
+    SupremumKey(u32),
+}
+
+impl std::fmt::Display for TreeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            TreeError::Shape => write!(f, "parents and catalogs must be parallel and non-empty"),
+            TreeError::TooLarge => write!(f, "tree exceeds u32 node or catalog spans"),
+            TreeError::MultipleRoots(v) => write!(f, "more than one root (node {v})"),
+            TreeError::ParentAfterChild(p, v) => write!(f, "parent {p} must precede child {v}"),
+            TreeError::UnsortedCatalog(v) => {
+                write!(f, "catalog of node {v} must be strictly increasing")
+            }
+            TreeError::SupremumKey(v) => write!(f, "catalog of node {v} stores the SUPREMUM"),
+        }
+    }
+}
+
+impl std::error::Error for TreeError {}
 
 impl<K: CatalogKey> CatalogTree<K> {
     /// Build a tree from parallel arrays: `parents[i]` is the parent of node
@@ -71,37 +107,48 @@ impl<K: CatalogKey> CatalogTree<K> {
     /// catalog. Children are ordered by node index.
     ///
     /// # Panics
-    /// Panics if there is not exactly one root, if a parent index is out of
-    /// range or not older than its child (parents must precede children,
-    /// i.e. the arrays must be in topological order), or if any catalog is
-    /// not strictly increasing.
+    /// Panics with the [`TreeError`] message wherever
+    /// [`CatalogTree::try_from_parents`] refuses the arrays.
     pub fn from_parents(parents: Vec<Option<u32>>, catalogs: Vec<Vec<K>>) -> Self {
-        assert_eq!(parents.len(), catalogs.len());
-        assert!(!parents.is_empty(), "tree must have at least one node");
+        Self::try_from_parents(parents, catalogs).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`CatalogTree::from_parents`] with a typed error instead of a
+    /// panic, for arrays read from untrusted bytes. Refuses unless there
+    /// is exactly one root, every parent index is below its child's (the
+    /// arrays are in topological order), and every catalog is strictly
+    /// increasing and below the `SUPREMUM`. The root is then node 0.
+    pub fn try_from_parents(
+        parents: Vec<Option<u32>>,
+        catalogs: Vec<Vec<K>>,
+    ) -> Result<Self, TreeError> {
         let n = parents.len();
-        assert!(n < NO_PARENT as usize, "node count exceeds u32 indexing");
+        if n != catalogs.len() || n == 0 {
+            return Err(TreeError::Shape);
+        }
+        if n >= NO_PARENT as usize {
+            return Err(TreeError::TooLarge);
+        }
 
         // Pass 1: validate parents, count children, derive depths.
         let mut parent_words = vec![NO_PARENT; n];
         let mut depths = vec![0u32; n];
         let mut child_counts = vec![0u32; n];
-        let mut root = None;
+        // Node 0 has no older node to be its parent, so it is the root.
         for (i, par) in parents.iter().enumerate() {
-            match par {
-                None => {
-                    assert!(root.is_none(), "more than one root");
-                    root = Some(NodeId(i as u32));
-                }
+            let node = i as u32;
+            match *par {
+                None if node > 0 => return Err(TreeError::MultipleRoots(node)),
+                None => {}
+                Some(p) if p >= node => return Err(TreeError::ParentAfterChild(p, node)),
                 Some(p) => {
-                    let p = *p as usize;
-                    assert!(p < i, "parent {p} must precede child {i}");
+                    let p = p as usize;
                     parent_words[i] = p as u32;
                     depths[i] = depths[p] + 1;
                     child_counts[p] += 1;
                 }
             }
         }
-        let root = root.expect("tree must have a root");
 
         // Child spans: prefix sums of the counts, then a second pass fills
         // each span in ascending node order (= the ordered child list).
@@ -123,38 +170,38 @@ impl<K: CatalogKey> CatalogTree<K> {
 
         // Catalog spans: validate order, then concatenate.
         let total: usize = catalogs.iter().map(Vec::len).sum();
-        assert!(total < u32::MAX as usize, "catalog total exceeds u32 spans");
+        if total >= u32::MAX as usize {
+            return Err(TreeError::TooLarge);
+        }
         let mut cat_off = Vec::with_capacity(n + 1);
         let mut catalog_flat = Vec::with_capacity(total);
         for (i, catalog) in catalogs.into_iter().enumerate() {
-            assert!(
-                catalog.windows(2).all(|w| w[0] < w[1]),
-                "catalog of node {i} must be strictly increasing"
-            );
-            debug_assert!(
-                catalog.last().is_none_or(|&k| k < K::SUPREMUM),
-                "catalog of node {i} must not contain the SUPREMUM sentinel"
-            );
+            let node = i as u32;
+            if !catalog.windows(2).all(|w| w[0] < w[1]) {
+                return Err(TreeError::UnsortedCatalog(node));
+            }
+            if catalog.last().is_some_and(|&k| k >= K::SUPREMUM) {
+                return Err(TreeError::SupremumKey(node));
+            }
             cat_off.push(catalog_flat.len() as u32);
             catalog_flat.extend(catalog);
         }
         cat_off.push(catalog_flat.len() as u32);
 
-        CatalogTree {
+        Ok(CatalogTree {
             parents: parent_words,
             depths,
             children_flat,
             child_off,
             catalog_flat,
             cat_off,
-            root,
-        }
+        })
     }
 
-    /// The root node id.
+    /// The root node id: node 0, the only node no older node can parent.
     #[inline]
     pub fn root(&self) -> NodeId {
-        self.root
+        NodeId(0)
     }
 
     /// Number of nodes.
@@ -305,7 +352,6 @@ impl<K: CatalogKey> CatalogTree<K> {
             child_off: self.child_off.clone(),
             catalog_flat: flat,
             cat_off,
-            root: self.root,
         };
         (tree, changed)
     }
@@ -350,7 +396,7 @@ impl<K: CatalogKey> CatalogTree<K> {
             cur = self.parent(id);
         }
         path.reverse();
-        debug_assert_eq!(path[0], self.root);
+        debug_assert_eq!(path[0], self.root());
         path
     }
 
@@ -505,5 +551,25 @@ mod tests {
     #[should_panic(expected = "must precede")]
     fn parent_after_child_rejected() {
         let _ = CatalogTree::from_parents(vec![Some(1), None], vec![vec![], Vec::<i64>::new()]);
+    }
+
+    #[test]
+    fn try_from_parents_types_every_refusal() {
+        let build = |parents: Vec<Option<u32>>, catalogs: Vec<Vec<i64>>| {
+            CatalogTree::try_from_parents(parents, catalogs).map(|t| t.len())
+        };
+        assert_eq!(build(vec![None], vec![vec![1, 2]]), Ok(1));
+        assert_eq!(build(vec![None], vec![]), Err(TreeError::Shape));
+        assert_eq!(build(vec![], vec![]), Err(TreeError::Shape));
+        let two_roots = build(vec![None, None], vec![vec![], vec![]]);
+        assert_eq!(two_roots, Err(TreeError::MultipleRoots(1)));
+        let no_root = build(vec![Some(0)], vec![vec![]]);
+        assert_eq!(no_root, Err(TreeError::ParentAfterChild(0, 0)));
+        let late_parent = build(vec![None, Some(2), Some(0)], vec![vec![], vec![], vec![]]);
+        assert_eq!(late_parent, Err(TreeError::ParentAfterChild(2, 1)));
+        let unsorted = build(vec![None, Some(0)], vec![vec![], vec![4, 4]]);
+        assert_eq!(unsorted, Err(TreeError::UnsortedCatalog(1)));
+        let supremum = build(vec![None], vec![vec![3, i64::SUPREMUM]]);
+        assert_eq!(supremum, Err(TreeError::SupremumKey(0)));
     }
 }

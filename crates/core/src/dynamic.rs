@@ -47,11 +47,11 @@ pub use fc_catalog::UpdateOp;
 /// epoch bookkeeping and the amortisation experiments.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GenStats {
-    /// Monotone generation id: the generation of the structure this
-    /// wrapper started from (see [`DynamicCoop::wrap`]; 0 for a fresh
-    /// tree), bumped by exactly 1 on every rebuild. The static structure
-    /// returned by [`DynamicCoop::structure`] is the one produced by
-    /// generation `generation`.
+    /// Monotone generation id: the generation of the structure the writer
+    /// started from (0 for a [`DynamicCoop`]), bumped by exactly 1 on
+    /// every rebuild. The static structure returned by
+    /// [`DynamicCoop::structure`] is the one produced by generation
+    /// `generation`.
     pub generation: u64,
     /// Rebuilds this wrapper performed (`generation` minus the starting
     /// generation).
@@ -165,29 +165,14 @@ pub struct DynamicCoop<K: CatalogKey> {
 }
 
 impl<K: CatalogKey> DynamicCoop<K> {
-    /// Preprocess `tree` and wrap the result (see [`DynamicCoop::wrap`]).
-    /// `frac` is the rebuild threshold as a fraction of the current total
-    /// catalog size (`0 < frac`; 0.25 is a reasonable default).
+    /// Preprocess `tree` with `mode` (rebuilds use it too) at generation
+    /// 0. `frac` is the rebuild threshold as a fraction of the current
+    /// total catalog size (`0 < frac`; 0.25 is a reasonable default).
     pub fn new(tree: CatalogTree<K>, mode: ParamMode, frac: f64) -> Self {
-        Self::wrap(
-            Arc::new(CoopStructure::preprocess(tree, mode)),
-            0,
-            mode,
-            frac,
-        )
-    }
-
-    /// Wrap an already preprocessed structure without copying it: the
-    /// wrapper shares `st` with every other holder (peer replicas,
-    /// published generations) until a rebuild replaces it. `generation` is
-    /// the generation that produced `st` (0 for a fresh tree); the
-    /// wrapper's [`GenStats::generation`] counts on from it. Rebuilds
-    /// preprocess with `mode`.
-    pub fn wrap(st: Arc<CoopStructure<K>>, generation: u64, mode: ParamMode, frac: f64) -> Self {
         assert!(frac > 0.0);
-        let nodes = st.tree().len();
+        let nodes = tree.len();
         DynamicCoop {
-            st,
+            st: Arc::new(CoopStructure::preprocess(tree, mode)),
             ins: vec![BTreeSet::new(); nodes],
             del: vec![BTreeSet::new(); nodes],
             changes: 0,
@@ -195,10 +180,7 @@ impl<K: CatalogKey> DynamicCoop<K> {
             frac,
             rebuild_min: 64,
             rebuilds: 0,
-            gen: GenStats {
-                generation,
-                ..GenStats::default()
-            },
+            gen: GenStats::default(),
             incr: None,
             retry: Vec::new(),
         }

@@ -37,8 +37,8 @@
 use crate::error::ServeError;
 use crate::queue::{AdmissionQueue, PushError};
 use crate::worker;
-use fc_catalog::{CatalogKey, CatalogTree, NodeId};
-use fc_coop::dynamic::{GenStats, UpdateOp};
+use fc_catalog::{CatalogKey, CatalogTree, NodeId, UpdateOp};
+use fc_coop::dynamic::GenStats;
 use fc_coop::{CoopStructure, ParamMode};
 use fc_resilience::{audit, repair, FaultPlan, FaultSpec};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};

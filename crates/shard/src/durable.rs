@@ -27,10 +27,11 @@
 //! Cold start ([`DurableCluster::cold_start`]) reads the manifest,
 //! restores the [`RoutingTable`] at its persisted version (staleness
 //! detection survives restarts), runs `fc_store::recover` per shard —
-//! snapshot + WAL replay + blame audit, refusing with a typed
-//! [`StoreError`] if any shard cannot be proven clean — and starts every
-//! shard's replicas on the very structure recovery audited, counting
-//! generations on from the recovered one.
+//! newest valid snapshot + WAL replay through one `apply_batch`, refusing
+//! with a typed [`StoreError`] if any shard's files do not validate — and
+//! starts every shard's replicas on one deferred structure of its
+//! recovered tree, counting generations on from the recovered one. No
+//! cold start preprocesses T′.
 //!
 //! Durability covers updates and splits routed through this wrapper;
 //! calling [`ShardCluster::update_batch`] or
@@ -39,8 +40,7 @@
 
 use crate::partition::RoutingTable;
 use crate::router::{ShardCluster, ShardConfig, ShardStats};
-use fc_catalog::{CatalogKey, CatalogTree};
-use fc_coop::dynamic::UpdateOp;
+use fc_catalog::{CatalogKey, CatalogTree, UpdateOp};
 use fc_coop::{CoopStructure, ParamMode};
 use fc_store::manifest::{epoch_dir, shard_dir};
 use fc_store::{read_manifest, write_manifest, KeyCodec, Manifest, Store, StoreConfig, StoreError};
@@ -67,9 +67,9 @@ pub struct ColdStartReport {
     pub truncated_bytes: u64,
     /// Corrupt snapshots skipped in favour of older valid ones.
     pub snapshots_skipped: usize,
-    /// Rebuild (epoch-cut) markers replayed above the watermarks — a
-    /// nonzero count means some shard died between cutting an epoch and
-    /// persisting its snapshot.
+    /// Legacy rebuild (epoch-cut) markers replayed above the watermarks.
+    /// Checkpoints no longer log them, so only a log written before that
+    /// change can hold some.
     pub rebuild_markers: u64,
 }
 
@@ -158,11 +158,11 @@ impl<K: CatalogKey + KeyCodec> DurableCluster<K> {
 
     /// Cold-start from `dir`: read the manifest, restore the routing
     /// table at its persisted version, recover every shard store
-    /// (snapshot + WAL replay + blame audit — any shard that cannot be
-    /// proven clean refuses the whole cold start with a typed error),
-    /// and start each shard's replicas on its recovered, audited
-    /// structure. Recovery preprocesses with [`ParamMode::Auto`]; `mode`
-    /// governs the structures the replicas' later writes publish.
+    /// (snapshot + WAL replay through one `apply_batch` — any shard whose
+    /// files do not validate refuses the whole cold start with a typed
+    /// error), and start each shard's replicas on one deferred structure
+    /// of its recovered tree. `mode` governs those structures and every
+    /// later publish.
     pub fn cold_start(
         dir: &Path,
         mode: ParamMode,
@@ -188,7 +188,10 @@ impl<K: CatalogKey + KeyCodec> DurableCluster<K> {
             report.truncated_bytes += rec.truncated_bytes;
             report.snapshots_skipped += rec.snapshots_skipped;
             report.rebuild_markers += rec.rebuild_markers;
-            shards.push((rec.structure, rec.generation));
+            shards.push((
+                Arc::new(CoopStructure::deferred(rec.tree, mode)),
+                rec.generation,
+            ));
         }
         let cluster = ShardCluster::start_with_table(table, &shards, mode, cfg)
             .ok_or_else(|| invalid("recovered shard count does not match the routing table"))?;
@@ -271,11 +274,6 @@ impl<K: CatalogKey + KeyCodec> DurableCluster<K> {
                 .ok_or_else(|| invalid("shard has no replica to snapshot"))?;
             let generation = svc.gen_stats().generation;
             let snapshot = svc.snapshot();
-            // Marker first, snapshot second: the snapshot watermark then
-            // covers the marker, and a crash in between replays it as
-            // provenance instead of losing the epoch cut.
-            // fc-lint: allow(lock-discipline) -- intentional: the marker must land in the same writer-held window as the snapshot it covers
-            store.append_rebuild_marker(generation)?;
             // fc-lint: allow(lock-discipline) -- intentional: snapshot the published generation before any writer can move it
             store.persist_snapshot(snapshot.st.tree(), generation)?;
             store.prune()?;

@@ -31,8 +31,7 @@
 use crate::error::ShardError;
 use crate::partition::RoutingTable;
 use crate::replica::ReplicaSet;
-use fc_catalog::{CatalogKey, CatalogTree, NodeId};
-use fc_coop::dynamic::UpdateOp;
+use fc_catalog::{CatalogKey, CatalogTree, NodeId, UpdateOp};
 use fc_coop::{CoopStructure, ParamMode};
 use fc_resilience::{FaultPlan, FaultSpec};
 use fc_serve::{Generation, QueryOk, ReplicaHealth, ServeConfig, ServeError, Service};
@@ -243,8 +242,8 @@ pub(crate) fn build_group<K: CatalogKey>(
 /// filtered tree, at logical generation `generation`: every replica shares
 /// `st` (one `Arc::clone` each, no copy) until its own first write, and a
 /// repair or fault injection on one replica copies before it writes, so
-/// it never reaches a peer. The cold-start path passes the structure
-/// recovery audited.
+/// it never reaches a peer. The cold-start path passes a deferred
+/// structure of the recovered tree.
 pub(crate) fn build_group_from_structure<K: CatalogKey>(
     st: &Arc<CoopStructure<K>>,
     generation: u64,
@@ -293,11 +292,11 @@ impl<K: CatalogKey> ShardCluster<K> {
     }
 
     /// Start a cluster from a *restored* routing table and, per shard, one
-    /// preprocessed structure of its filtered tree with that structure's
-    /// logical generation — the cold-start path (`fc_store::recover`
-    /// hands back exactly these, audited). Each shard's replicas serve
-    /// the given structure itself and count generations on from the
-    /// given one. Returns `None` when the shard count does not match the
+    /// structure of its filtered tree with that structure's logical
+    /// generation — the cold-start path, which wraps each tree
+    /// `fc_store::recover` hands back as a deferred structure. Each
+    /// shard's replicas serve the given structure itself and count
+    /// generations on from the given one. Returns `None` when the shard count does not match the
     /// table's, which a caller must treat as a corrupt manifest, not a
     /// servable state.
     pub fn start_with_table(

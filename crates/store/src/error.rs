@@ -1,7 +1,7 @@
 //! Typed durability errors.
 //!
 //! The store extends the workspace's correctness contract to disk: a
-//! recovery either reproduces an audited-clean structure or returns one of
+//! recovery either reproduces the acknowledged catalogs or returns one of
 //! these errors — corrupted bytes must never surface as a silently-wrong
 //! answer, and the recovery path must never panic on them (enforced by
 //! `cargo xtask lint` over `wal.rs` / `snapshot.rs` / `recover.rs`).
@@ -87,8 +87,8 @@ pub enum StoreError {
     },
     /// A WAL record decoded cleanly (framing and CRC pass) but names an op
     /// the recovered tree cannot accept — a node outside the tree or a
-    /// supremum key. Applying it would panic inside `DynamicCoop`, so
-    /// recovery refuses with this instead.
+    /// supremum key. Applying it would panic inside
+    /// `CatalogTree::apply_batch`, so recovery refuses with this instead.
     InvalidOp {
         /// Sequence number of the offending record.
         seq: u64,
@@ -99,16 +99,6 @@ pub enum StoreError {
     NoSnapshot {
         /// Snapshot files that were found but rejected as corrupt.
         corrupt: usize,
-    },
-    /// Recovery rebuilt a structure but the post-recovery audit found it
-    /// dirty; the store refuses to hand it out.
-    RecoveryAudit {
-        /// Structural blame findings from `fc_resilience::audit`.
-        findings: usize,
-        /// Buffer-invariant violations from `DynamicCoop::audit_buffers`.
-        buffer_blames: usize,
-        /// Rebuilds whose self-audit failed during replay.
-        rebuild_failures: u64,
     },
     /// The cluster manifest is unreadable or inconsistent with the shard
     /// data on disk.
@@ -173,16 +163,6 @@ impl std::fmt::Display for StoreError {
                     "no valid snapshot found ({corrupt} corrupt candidate(s))"
                 )
             }
-            StoreError::RecoveryAudit {
-                findings,
-                buffer_blames,
-                rebuild_failures,
-            } => write!(
-                f,
-                "recovered structure failed its audit: {findings} structural finding(s), \
-                 {buffer_blames} buffer blame(s), {rebuild_failures} rebuild failure(s) — \
-                 refusing to serve"
-            ),
             StoreError::ManifestInvalid { reason } => {
                 write!(f, "invalid cluster manifest: {reason}")
             }
@@ -216,14 +196,13 @@ mod tests {
 
     #[test]
     fn display_is_informative() {
-        let e = StoreError::RecoveryAudit {
-            findings: 2,
-            buffer_blames: 1,
-            rebuild_failures: 0,
-        };
-        let msg = format!("{e}");
-        assert!(msg.contains("refusing to serve"), "{msg}");
         let e = StoreError::MissingSegment { after_seq: 41 };
         assert!(format!("{e}").contains("41"));
+        let e = StoreError::InvalidOp {
+            seq: 9,
+            reason: "op stores the supremum key",
+        };
+        let msg = format!("{e}");
+        assert!(msg.contains('9') && msg.contains("supremum"), "{msg}");
     }
 }

@@ -1,5 +1,5 @@
 //! Disk fault injection for durability tests: torn writes, bit flips,
-//! missing segments, and half-completed rotations.
+//! missing segments, half-completed rotations, and legacy log records.
 //!
 //! These helpers extend the workspace's fault-injection story (see
 //! `fc-resilience::fault` for in-memory corruption) to the storage layer.
@@ -7,9 +7,12 @@
 //! that is exactly what the recovery path has to survive. Test-support
 //! code: the recovery paths under `cargo xtask lint` never call in here.
 
-use crate::wal::{encode_segment_header, SEG_HEADER_LEN};
+use crate::codec::KeyCodec;
+use crate::store::{Store, StoreConfig};
+use crate::wal::{encode_marker, encode_segment_header, segment_file_name, SEG_HEADER_LEN};
+use fc_catalog::CatalogKey;
 use std::fs;
-use std::io;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 /// XOR one byte of `path` at `offset` with `mask` (a simulated bit flip /
@@ -39,7 +42,6 @@ pub fn truncate_tail(path: &Path, n: u64) -> io::Result<u64> {
 /// Append raw garbage to `path` (a partially-written frame that never got
 /// its fsync).
 pub fn append_garbage(path: &Path, garbage: &[u8]) -> io::Result<()> {
-    use std::io::Write;
     let mut f = fs::OpenOptions::new().append(true).open(path)?;
     f.write_all(garbage)
 }
@@ -93,7 +95,7 @@ pub fn half_rotate_last_segment(dir: &Path) -> io::Result<Option<PathBuf>> {
     };
     let mut seg = encode_segment_header(key_width, seq);
     seg.extend_from_slice(&bytes[start..end]);
-    let path = dir.join(crate::wal::segment_file_name(seq));
+    let path = dir.join(segment_file_name(seq));
     if &path == last {
         return Ok(None);
     }
@@ -101,12 +103,29 @@ pub fn half_rotate_last_segment(dir: &Path) -> io::Result<Option<PathBuf>> {
     Ok(Some(path))
 }
 
+/// Plant a **legacy rebuild marker** for `generation` at the next sequence
+/// number of the store in `dir`, in a fresh segment, as logs written
+/// before checkpoints stopped logging markers may hold. Returns its
+/// sequence number.
+pub fn append_legacy_marker<K: CatalogKey + KeyCodec>(
+    dir: &Path,
+    generation: u64,
+) -> io::Result<u64> {
+    let store = Store::<K>::open(dir, StoreConfig::default());
+    let seq = store
+        .map_err(|e| io::Error::other(e.to_string()))?
+        .last_seq()
+        + 1;
+    let mut seg = encode_segment_header(K::WIDTH, seq);
+    seg.extend_from_slice(&encode_marker(seq, generation));
+    fs::write(dir.join(segment_file_name(seq)), seg)?;
+    Ok(seq)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::{Store, StoreConfig};
-    use fc_catalog::NodeId;
-    use fc_coop::dynamic::UpdateOp;
+    use fc_catalog::{NodeId, UpdateOp};
 
     fn tmp(name: &str) -> PathBuf {
         let dir =
@@ -150,6 +169,20 @@ mod tests {
         let stats = crate::wal::replay::<i64, _>(&dir, 0, |_, _| Ok(())).unwrap();
         assert_eq!(stats.records_applied, 4);
         assert_eq!(stats.records_skipped, 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn legacy_marker_lands_at_the_next_sequence() {
+        let dir = tmp("marker");
+        let store = Store::<i64>::open(&dir, StoreConfig::default()).unwrap();
+        store
+            .append_batch(&[UpdateOp::Insert(NodeId(0), 1)])
+            .unwrap();
+        drop(store);
+        assert_eq!(append_legacy_marker::<i64>(&dir, 5).unwrap(), 2);
+        let stats = crate::wal::replay::<i64, _>(&dir, 0, |_, _| Ok(())).unwrap();
+        assert_eq!((stats.records_applied, stats.markers), (2, 1));
         let _ = fs::remove_dir_all(&dir);
     }
 }

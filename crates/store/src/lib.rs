@@ -4,13 +4,13 @@
 //! oracle-equal answer or a typed error, never a silently-wrong answer* —
 //! across process death. It persists a published
 //! [`CatalogTree`](fc_catalog::CatalogTree) generation as a versioned,
-//! checksummed [`snapshot`], logs every buffered
-//! [`UpdateOp`](fc_coop::dynamic::UpdateOp) batch through a CRC-framed
-//! [`wal`] *before* the in-memory structure sees it, and on restart
-//! [`recover`](recover())s by replaying the log into a fresh generation,
-//! handing back the audited structure itself, and refusing — with a typed
-//! [`StoreError`] — to serve anything the `fc-resilience` blame audit
-//! cannot prove clean.
+//! checksummed [`snapshot`], logs every
+//! [`UpdateOp`](fc_catalog::UpdateOp) batch through a CRC-framed [`wal`]
+//! *before* the in-memory catalogs see it, and on restart
+//! [`recover`](recover())s the catalogs by applying the replayed log to
+//! the newest valid snapshot with `CatalogTree::apply_batch`, the writer's
+//! own function — or refuses with a typed [`StoreError`] when a snapshot,
+//! a record or an op does not validate. It depends on `fc-catalog` alone.
 //!
 //! The pieces:
 //!
@@ -18,12 +18,13 @@
 //!   append/persist/prune API (`fc-shard`'s `DurableCluster` keeps one
 //!   per shard).
 //! * [`recover()`] — the crash-recovery state machine: newest valid
-//!   snapshot → ordered idempotent replay → forced rebuild → audit.
+//!   snapshot → ordered idempotent replay → one `apply_batch`.
 //! * [`manifest`] — the cluster commit point: routing-table version and
 //!   cuts persisted alongside per-shard stores so `fc-shard` cold-starts
 //!   with routing restored (`DurableCluster`).
 //! * [`fault`] — byte-surgery helpers (torn writes, bit flips, missing
-//!   segments, half rotations) for the durability test suites.
+//!   segments, half rotations, legacy markers) for the durability test
+//!   suites.
 //!
 //! Everything is `std`-only: keys serialize through [`KeyCodec`], the
 //! CRC-32 is built in, and the recovery paths (`snapshot.rs`, `wal.rs`,

@@ -1,27 +1,26 @@
-//! Crash recovery: newest valid snapshot + WAL replay + audit, or a typed
-//! refusal.
+//! Crash recovery: newest valid snapshot + WAL replay through the
+//! writer's own `apply_batch`, or a typed refusal.
 //!
 //! The recovery state machine (documented in DESIGN.md §12):
 //!
 //! 1. **Load** the newest snapshot that validates end to end
 //!    ([`crate::snapshot::load_newest_valid`]); corrupt newer candidates
 //!    are skipped and counted.
-//! 2. **Replay** every WAL record above the snapshot's watermark into a
-//!    fresh [`DynamicCoop`], in sequence order, with torn-tail truncation
-//!    and duplicate skipping ([`crate::wal::replay`]). Each op is
-//!    pre-validated against the recovered tree — `DynamicCoop`'s buffer
-//!    paths index by node id and debug-assert keys below the supremum, so
-//!    an out-of-range op surfaces as [`StoreError::InvalidOp`] instead of
-//!    a panic.
-//! 3. **Rebuild + audit**: drain the buffers with a forced global rebuild
-//!    — the one preprocessing of recovery, since the snapshot's tree is
-//!    loaded as a deferred structure whose derived data replay never
-//!    needs — then run the buffer audit and the structural blame audit
-//!    from `fc-resilience`. Any dirt is a typed
-//!    [`StoreError::RecoveryAudit`] — the store never serves a structure
-//!    it cannot prove clean. A clean result hands back the audited
-//!    structure itself ([`Recovered::structure`]), so a caller serves
-//!    exactly what was audited instead of preprocessing its own copy.
+//! 2. **Replay** every WAL record above the snapshot's watermark, in
+//!    sequence order, with torn-tail truncation and duplicate skipping
+//!    ([`crate::wal::replay`]). Each op is validated against the
+//!    snapshot's tree — [`CatalogTree::apply_batch`] panics on a node
+//!    outside the tree and debug-asserts keys below the supremum — so an
+//!    inapplicable op is a typed [`StoreError::InvalidOp`], not a panic.
+//! 3. **Apply** every replayed op with one [`CatalogTree::apply_batch`],
+//!    the function that published those writes live. It keeps the last op
+//!    on each (node, key), so one call over the concatenated records
+//!    equals applying them one by one, and copies the catalogs once
+//!    instead of once per record.
+//!
+//! Nothing is left to audit: the snapshot decoder validates the tree with
+//! typed errors, every WAL record is CRC-checked, and every op is
+//! validated before it is applied.
 //!
 //! This file is in the `cargo xtask lint` panic-free/index-free scope up
 //! to its tests.
@@ -29,34 +28,25 @@
 use crate::codec::KeyCodec;
 use crate::error::StoreError;
 use crate::snapshot;
-use crate::wal;
-use fc_catalog::CatalogKey;
-use fc_coop::dynamic::{DynamicCoop, UpdateOp};
-use fc_coop::{CoopStructure, ParamMode};
-use fc_pram::{Model, Pram};
+use crate::wal::{self, WalEntry};
+use fc_catalog::{CatalogKey, CatalogTree, UpdateOp};
 use std::path::Path;
-use std::sync::Arc;
 
-/// Processor count for the replay-time rebuild PRAM; recovery is offline,
-/// so this only shapes the simulated schedule, not wall-clock work.
-const REPLAY_PROCS: usize = 1 << 10;
-
-/// A successful recovery: the audited-clean structure plus provenance
-/// counters for observability (and the recovery-time benchmark).
+/// A successful recovery: the recovered catalogs plus provenance counters
+/// for observability (and the recovery-time benchmark).
 #[derive(Debug, Clone)]
 pub struct Recovered<K: CatalogKey> {
-    /// The recovered structure (preprocessed with [`ParamMode::Auto`]),
-    /// drained and audit-clean; its `tree()` is the recovered catalog
-    /// tree.
-    pub structure: Arc<CoopStructure<K>>,
-    /// Logical generation of [`Recovered::structure`]: the snapshot's
-    /// generation plus one per rebuild recovery ran.
+    /// The recovered catalog tree: the snapshot's with every replayed op
+    /// applied.
+    pub tree: CatalogTree<K>,
+    /// Logical generation of [`Recovered::tree`]: the snapshot's
+    /// generation plus one, the generation recovery publishes.
     pub generation: u64,
     /// Id of the snapshot recovery started from.
     pub snapshot_id: u64,
     /// That snapshot's WAL watermark.
     pub wal_watermark: u64,
-    /// Highest WAL sequence number reflected in [`Recovered::structure`].
+    /// Highest WAL sequence number reflected in [`Recovered::tree`].
     pub last_seq: u64,
     /// WAL records replayed.
     pub replayed_records: u64,
@@ -68,40 +58,26 @@ pub struct Recovered<K: CatalogKey> {
     pub truncated_bytes: u64,
     /// Corrupt newer snapshots that were skipped to find a valid one.
     pub snapshots_skipped: usize,
-    /// Rebuild (epoch-cut) markers replayed above the watermark. Markers
-    /// are advisory provenance — the final forced rebuild subsumes them —
-    /// but a nonzero count means the producer died between cutting an
-    /// epoch and persisting its snapshot.
+    /// Rebuild (epoch-cut) markers replayed above the watermark. Logs
+    /// written before checkpoints stopped logging them may still hold
+    /// some; they carry no ops, so recovery only counts them.
     pub rebuild_markers: u64,
 }
 
-/// Recover the store in `dir` to an audited-clean structure, or refuse
-/// with a typed error (see the module docs for the state machine).
+/// Recover the store in `dir`, or refuse with a typed error (see the
+/// module docs for the state machine).
 pub fn recover<K: CatalogKey + KeyCodec>(dir: &Path) -> Result<Recovered<K>, StoreError> {
     let (snapshot_id, data, snapshots_skipped) = snapshot::load_newest_valid::<K>(dir)?;
-    let wal_watermark = data.wal_watermark;
-    let node_count = data.tree.len() as u32;
-    // An infinite rebuild fraction defers every rebuild to the explicit
-    // force_rebuild below, so replay cost is one rebuild, not one per
-    // buffered fraction — the WAL-vs-rebuild trade DESIGN.md §12 discusses.
-    // Replay reads only the native catalogs, so the snapshot's structure
-    // stays deferred and recovery preprocesses once.
-    let st = Arc::new(CoopStructure::deferred(data.tree, ParamMode::Auto));
-    let mut dy = DynamicCoop::wrap(st, data.logical_gen, ParamMode::Auto, f64::INFINITY);
-    let mut pram = Pram::new(REPLAY_PROCS, Model::Crew);
-    let stats = wal::replay::<K, _>(dir, wal_watermark, |seq, entry| {
-        let ops = match entry {
-            wal::WalEntry::Ops(ops) => ops,
-            // Advisory epoch-cut provenance: nothing to apply (the final
-            // forced rebuild below subsumes any mid-log compaction).
-            wal::WalEntry::RebuildMarker { .. } => return Ok(()),
+    let node_count = data.tree.len();
+    let mut ops: Vec<UpdateOp<K>> = Vec::new();
+    let stats = wal::replay::<K, _>(dir, data.wal_watermark, |seq, entry| {
+        let WalEntry::Ops(record) = entry else {
+            // A legacy rebuild marker: provenance only, nothing to apply.
+            return Ok(());
         };
-        for op in ops {
-            let (node, key) = match op {
-                UpdateOp::Insert(n, k) => (n, k),
-                UpdateOp::Remove(n, k) => (n, k),
-            };
-            if node.0 >= node_count {
+        for op in record {
+            let (UpdateOp::Insert(node, key) | UpdateOp::Remove(node, key)) = op;
+            if node.idx() >= node_count {
                 return Err(StoreError::InvalidOp {
                     seq,
                     reason: "op names a node outside the recovered tree",
@@ -114,30 +90,19 @@ pub fn recover<K: CatalogKey + KeyCodec>(dir: &Path) -> Result<Recovered<K>, Sto
                 });
             }
         }
-        dy.apply_batch(ops, &mut pram);
+        ops.extend_from_slice(record);
         Ok(())
     })?;
-
-    let buffer_blames = match dy.audit_buffers() {
-        Ok(()) => 0,
-        Err(blames) => blames.len(),
+    let tree = if ops.is_empty() {
+        data.tree
+    } else {
+        data.tree.apply_batch(&ops).0
     };
-    dy.force_rebuild(&mut pram);
-    let gen_stats = dy.gen_stats();
-    let report = fc_resilience::audit(dy.structure());
-    let findings = report.findings.len();
-    if findings > 0 || buffer_blames > 0 || gen_stats.audit_failures > 0 {
-        return Err(StoreError::RecoveryAudit {
-            findings,
-            buffer_blames,
-            rebuild_failures: gen_stats.audit_failures,
-        });
-    }
     Ok(Recovered {
-        structure: Arc::clone(dy.structure()),
-        generation: gen_stats.generation,
+        tree,
+        generation: data.logical_gen.saturating_add(1),
         snapshot_id,
-        wal_watermark,
+        wal_watermark: data.wal_watermark,
         last_seq: stats.last_seq,
         replayed_records: stats.records_applied,
         replayed_ops: stats.ops_applied,
@@ -153,7 +118,10 @@ mod tests {
     use super::*;
     use crate::store::{Store, StoreConfig};
     use fc_catalog::gen::{self, SizeDist};
-    use fc_catalog::{CatalogTree, NodeId};
+    use fc_catalog::NodeId;
+    use fc_coop::dynamic::DynamicCoop;
+    use fc_coop::ParamMode;
+    use fc_pram::{Model, Pram};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     use std::fs;
@@ -178,7 +146,8 @@ mod tests {
         }
     }
 
-    /// Oracle: the same ops applied in-memory, no disk in the loop.
+    /// Oracle: the same ops applied in-memory by the buffered
+    /// `DynamicCoop` and a forced rebuild, no disk in the loop.
     fn oracle(t: &CatalogTree<i64>, batches: &[Vec<UpdateOp<i64>>]) -> CatalogTree<i64> {
         let mut dy = DynamicCoop::new(t.clone(), ParamMode::Auto, f64::INFINITY);
         let mut pram = Pram::new(64, Model::Crew);
@@ -187,6 +156,13 @@ mod tests {
         }
         dy.force_rebuild(&mut pram);
         dy.structure().tree().clone()
+    }
+
+    /// The live writer's order: one `apply_batch` per record.
+    fn per_record(t: &CatalogTree<i64>, batches: &[Vec<UpdateOp<i64>>]) -> CatalogTree<i64> {
+        batches
+            .iter()
+            .fold(t.clone(), |tree, b| tree.apply_batch(b).0)
     }
 
     fn batches(t: &CatalogTree<i64>, n: usize) -> Vec<Vec<UpdateOp<i64>>> {
@@ -224,10 +200,8 @@ mod tests {
         assert_eq!(rec.replayed_records, 12);
         assert_eq!(rec.replayed_ops, 36);
         assert_eq!(rec.last_seq, 12);
-        assert!(
-            trees_equal(rec.structure.tree(), &oracle(&t, &bs)),
-            "replay == oracle"
-        );
+        assert!(trees_equal(&rec.tree, &oracle(&t, &bs)), "replay == oracle");
+        assert!(trees_equal(&rec.tree, &per_record(&t, &bs)));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -251,8 +225,8 @@ mod tests {
         let rec = recover::<i64>(&dir).unwrap();
         assert_eq!(rec.wal_watermark, 5);
         assert_eq!(rec.replayed_records, 5, "only post-watermark records");
-        assert_eq!(rec.generation, 2, "snapshot generation 1 plus one rebuild");
-        assert!(trees_equal(rec.structure.tree(), &oracle(&t, &bs)));
+        assert_eq!(rec.generation, 2, "snapshot generation 1 plus one publish");
+        assert!(trees_equal(&rec.tree, &oracle(&t, &bs)));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -269,6 +243,79 @@ mod tests {
         drop(store);
         let err = recover::<i64>(&dir).unwrap_err();
         assert!(matches!(err, StoreError::InvalidOp { seq: 1, .. }), "{err}");
+        let _ = fs::remove_dir_all(&dir);
+
+        // A valid record, then one that stores the supremum sentinel.
+        let dir = tmp("supremum");
+        let store = Store::<i64>::open(&dir, no_fsync()).unwrap();
+        store.persist_snapshot(&t, 0).unwrap();
+        store
+            .append_batch(&[UpdateOp::Insert(NodeId(0), 7)])
+            .unwrap();
+        store
+            .append_batch(&[UpdateOp::Insert(NodeId(1), i64::SUPREMUM)])
+            .unwrap();
+        drop(store);
+        let err = recover::<i64>(&dir).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                StoreError::InvalidOp {
+                    seq: 2,
+                    reason: "op stores the supremum key"
+                }
+            ),
+            "{err}"
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Keys touched in several records: recovery's one apply keeps the
+    /// log's order. After a mid-stream snapshot, `fresh` is inserted,
+    /// removed and re-inserted and `brief` inserted and removed; `old`, a
+    /// key of the tree, is removed before the snapshot and re-inserted
+    /// after it, and `gone` the other way round.
+    #[test]
+    fn one_apply_keeps_the_log_order() {
+        let dir = tmp("order");
+        let t = tree(27);
+        let node = NodeId(3);
+        let old = t.catalog(node)[0];
+        let (fresh, brief, gone) = (2_000_000, 2_000_001, 2_000_002);
+        let ins = |k| vec![UpdateOp::Insert(node, k)];
+        let rem = |k| vec![UpdateOp::Remove(node, k)];
+        let before = vec![rem(old), ins(gone)];
+        let after = vec![
+            ins(fresh),
+            ins(old),
+            ins(brief),
+            rem(fresh),
+            rem(gone),
+            ins(fresh),
+            rem(brief),
+        ];
+        let store = Store::<i64>::open(&dir, no_fsync()).unwrap();
+        store.persist_snapshot(&t, 0).unwrap();
+        for b in &before {
+            store.append_batch(b).unwrap();
+        }
+        store.persist_snapshot(&per_record(&t, &before), 2).unwrap();
+        for b in &after {
+            store.append_batch(b).unwrap();
+        }
+        drop(store);
+        let rec = recover::<i64>(&dir).unwrap();
+        assert_eq!(rec.wal_watermark, 2);
+        assert_eq!(rec.replayed_records, 7, "only post-watermark records");
+        let all: Vec<_> = before.iter().chain(&after).cloned().collect();
+        assert!(trees_equal(&rec.tree, &oracle(&t, &all)), "== DynamicCoop");
+        assert!(
+            trees_equal(&rec.tree, &per_record(&t, &all)),
+            "== per record"
+        );
+        let cat = rec.tree.catalog(node);
+        assert!(cat.contains(&old) && cat.contains(&fresh));
+        assert!(!cat.contains(&brief) && !cat.contains(&gone));
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -13,7 +13,7 @@
 //! key_width    u32  bytes per key (must match the opening key type)
 //! node_count   u64
 //! total_keys   u64
-//! logical_gen  u64  DynamicCoop generation the snapshot was cut from
+//! logical_gen  u64  logical generation of the persisted catalogs
 //! wal_watermark u64 highest WAL seq reflected in the catalogs
 //! header_crc   u32  CRC-32 of the 48 header bytes above
 //! parents      node_count × u32   (u32::MAX = root)          + u32 CRC
@@ -26,12 +26,11 @@
 //! written via temp-file + fsync + atomic rename ([`crate::frame`]).
 //!
 //! Reading **re-validates everything**: magic, version, key width, every
-//! section CRC, and then the structural preconditions of
-//! [`CatalogTree::from_parents`] (exactly one root, parents precede
-//! children, strictly increasing catalogs below the supremum) — the tree
-//! builder panics on violations, so the reader proves them impossible
-//! first and returns typed [`StoreError`]s instead. This file is in the
-//! `cargo xtask lint` panic-free/index-free scope up to its tests.
+//! section CRC, then the tree's structure through
+//! [`CatalogTree::try_from_parents`] (exactly one root, parents precede
+//! children, strictly increasing catalogs below the supremum) and a fan-out
+//! of at most two, each violation a typed [`StoreError`]. This file is in
+//! the `cargo xtask lint` panic-free/index-free scope up to its tests.
 
 use crate::codec::{crc32, KeyCodec};
 use crate::error::StoreError;
@@ -48,9 +47,10 @@ const HEADER_LEN: usize = 48;
 /// A decoded snapshot: the reconstructed tree plus its provenance.
 #[derive(Debug, Clone)]
 pub struct SnapshotData<K: CatalogKey> {
-    /// The catalog tree exactly as persisted (drained — no buffered ops).
+    /// The catalog tree exactly as persisted.
     pub tree: CatalogTree<K>,
-    /// `DynamicCoop` generation counter at the time the snapshot was cut.
+    /// Logical generation of the persisted catalogs: the writer's
+    /// published generation when the snapshot was cut.
     pub logical_gen: u64,
     /// Highest WAL sequence number whose effects the tree includes;
     /// recovery replays strictly newer records only.
@@ -77,36 +77,58 @@ pub fn encode_snapshot<K: CatalogKey + KeyCodec>(
     logical_gen: u64,
     wal_watermark: u64,
 ) -> Vec<u8> {
+    let parents: Vec<u32> = tree
+        .ids()
+        .map(|id| tree.parent(id).map_or(u32::MAX, |p| p.0))
+        .collect();
+    let lens: Vec<u32> = tree.ids().map(|id| tree.catalog(id).len() as u32).collect();
+    // The tree stores all catalogs node-major in one flat array — the keys
+    // section is that array.
+    encode_sections(
+        &parents,
+        &lens,
+        tree.catalog_flat(),
+        logical_gen,
+        wal_watermark,
+    )
+}
+
+/// Frame raw `parents` (`u32::MAX` = root), per-node catalog `lens` and
+/// node-major `keys` as a snapshot, checking nothing about them.
+fn encode_sections<K: KeyCodec>(
+    parents: &[u32],
+    lens: &[u32],
+    keys: &[K],
+    logical_gen: u64,
+    wal_watermark: u64,
+) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(MAGIC);
     out.extend_from_slice(&FORMAT.to_le_bytes());
     out.extend_from_slice(&K::WIDTH.to_le_bytes());
-    out.extend_from_slice(&(tree.len() as u64).to_le_bytes());
-    out.extend_from_slice(&(tree.total_catalog_size() as u64).to_le_bytes());
+    out.extend_from_slice(&(parents.len() as u64).to_le_bytes());
+    out.extend_from_slice(&(keys.len() as u64).to_le_bytes());
     out.extend_from_slice(&logical_gen.to_le_bytes());
     out.extend_from_slice(&wal_watermark.to_le_bytes());
     let header_crc = crc32(&out);
     out.extend_from_slice(&header_crc.to_le_bytes());
 
     let mut sec: Vec<u8> = Vec::new();
-    for id in tree.ids() {
-        let p = tree.parent(id).map_or(u32::MAX, |p| p.0);
+    for p in parents {
         sec.extend_from_slice(&p.to_le_bytes());
     }
     out.extend_from_slice(&sec);
     out.extend_from_slice(&crc32(&sec).to_le_bytes());
 
     sec.clear();
-    for id in tree.ids() {
-        sec.extend_from_slice(&(tree.catalog(id).len() as u32).to_le_bytes());
+    for len in lens {
+        sec.extend_from_slice(&len.to_le_bytes());
     }
     out.extend_from_slice(&sec);
     out.extend_from_slice(&crc32(&sec).to_le_bytes());
 
     sec.clear();
-    // The tree stores all catalogs node-major in one flat array — the
-    // byte-identical keys section falls out of a single pass over it.
-    for k in tree.catalog_flat() {
+    for k in keys {
         k.encode_key(&mut sec);
     }
     out.extend_from_slice(&sec);
@@ -128,9 +150,8 @@ fn invalid(path: &Path, reason: impl Into<String>) -> StoreError {
     }
 }
 
-/// Decode and fully validate a snapshot (see module docs). The returned
-/// tree is guaranteed constructible: every `CatalogTree::from_parents`
-/// precondition has been checked with a typed error first.
+/// Decode and fully validate a snapshot (see module docs): a structural
+/// violation is [`StoreError::SnapshotInvalid`], never a panic.
 pub fn decode_snapshot<K: CatalogKey + KeyCodec>(
     path: &Path,
     bytes: &[u8],
@@ -224,9 +245,13 @@ pub fn decode_snapshot<K: CatalogKey + KeyCodec>(
         });
     }
 
-    // Checksums pass: now prove the content can form a tree before handing
-    // it to the (panicking) builder.
-    let parents = read_u32s(psec, nc).ok_or_else(|| invalid(path, "parents undecodable"))?;
+    // Checksums pass: decode the sections and let the tree builder judge
+    // their structure with a typed error.
+    let parents: Vec<Option<u32>> = read_u32s(psec, nc)
+        .ok_or_else(|| invalid(path, "parents undecodable"))?
+        .into_iter()
+        .map(|p| (p != u32::MAX).then_some(p))
+        .collect();
     let lens = read_u32s(lsec, nc).ok_or_else(|| invalid(path, "lens undecodable"))?;
     let lens_sum: u64 = lens.iter().map(|&l| l as u64).sum();
     if lens_sum != total_keys {
@@ -235,71 +260,29 @@ pub fn decode_snapshot<K: CatalogKey + KeyCodec>(
             format!("catalog lengths sum to {lens_sum}, header says {total_keys}"),
         ));
     }
-    let mut root_seen = false;
-    let mut child_counts = vec![0u8; nc];
-    for (i, &p) in parents.iter().enumerate() {
-        if p == u32::MAX {
-            if root_seen {
-                return Err(invalid(path, "more than one root"));
-            }
-            root_seen = true;
-        } else if (p as usize) >= i {
-            return Err(invalid(
-                path,
-                format!("parent {p} of node {i} does not precede it"),
-            ));
-        } else if let Some(c) = child_counts.get_mut(p as usize) {
-            *c = c.saturating_add(1);
-            if *c > 2 {
-                // The whole serving stack preprocesses binary trees only
-                // (higher degrees are binarized before they reach a
-                // service); a >2 fan-out would panic inside preprocess.
-                return Err(invalid(
-                    path,
-                    format!("node {p} has more than two children"),
-                ));
-            }
-        }
-    }
-    if !root_seen {
-        return Err(invalid(path, "no root node"));
-    }
-
     let mut kr = Reader::new(ksec);
     let mut catalogs: Vec<Vec<K>> = Vec::with_capacity(nc);
-    for (i, &len) in lens.iter().enumerate() {
+    for &len in &lens {
         let mut cat: Vec<K> = Vec::with_capacity(len as usize);
         for _ in 0..len {
             let kb = kr
                 .take(K::WIDTH as usize)
                 .ok_or_else(|| truncated(path, "keys"))?;
-            let k = K::decode_key(kb).ok_or_else(|| invalid(path, "key undecodable"))?;
-            if k >= K::SUPREMUM {
-                return Err(invalid(path, format!("node {i} stores the supremum")));
-            }
-            cat.push(k);
-        }
-        let increasing = cat.windows(2).all(|w| match w {
-            [a, b] => a < b,
-            _ => true,
-        });
-        if !increasing {
-            return Err(invalid(
-                path,
-                format!("catalog of node {i} not strictly increasing"),
-            ));
+            cat.push(K::decode_key(kb).ok_or_else(|| invalid(path, "key undecodable"))?);
         }
         catalogs.push(cat);
     }
-
-    let parent_opts: Vec<Option<u32>> = parents
-        .iter()
-        .map(|&p| if p == u32::MAX { None } else { Some(p) })
-        .collect();
-    // Every from_parents precondition is now proven: exactly one root,
-    // parents precede children, catalogs strictly increasing and below the
-    // supremum — this cannot panic.
-    let tree = CatalogTree::from_parents(parent_opts, catalogs);
+    let tree = CatalogTree::try_from_parents(parents, catalogs)
+        .map_err(|e| invalid(path, e.to_string()))?;
+    // The serving stack preprocesses binary trees only (higher degrees are
+    // binarized before they reach a service); a wider fan-out would panic
+    // inside preprocess.
+    if let Some(wide) = tree.ids().find(|&id| tree.children(id).len() > 2) {
+        return Err(invalid(
+            path,
+            format!("node {} has more than two children", wide.0),
+        ));
+    }
     Ok(SnapshotData {
         tree,
         logical_gen,
@@ -453,6 +436,61 @@ mod tests {
             decode_snapshot::<i64>(&path, &bad).unwrap_err(),
             StoreError::BadMagic { .. }
         ));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A snapshot whose CRCs all pass but whose content is no valid tree.
+    fn framed(parents: &[u32], catalogs: &[Vec<i64>]) -> Vec<u8> {
+        let lens: Vec<u32> = catalogs.iter().map(|c| c.len() as u32).collect();
+        encode_sections(parents, &lens, &catalogs.concat(), 0, 0)
+    }
+
+    /// Each structural violation, behind valid CRCs, is a typed
+    /// `SnapshotInvalid` from the decoder and from recovery, never a panic.
+    #[test]
+    fn structural_violations_behind_valid_crcs_are_typed() {
+        const ROOT: u32 = u32::MAX;
+        let cats = |root: Vec<i64>| vec![root, vec![30, 40], vec![50, 60]];
+        let path = Path::new("structural.fcs");
+        let valid = framed(&[ROOT, 0, 0], &cats(vec![10, 20]));
+        assert_eq!(decode_snapshot::<i64>(path, &valid).unwrap().tree.len(), 3);
+        let cases: [(&str, Vec<u8>); 7] = [
+            (
+                "descending pair",
+                framed(&[ROOT, 0, 0], &cats(vec![20, 10])),
+            ),
+            ("duplicate key", framed(&[ROOT, 0, 0], &cats(vec![10, 10]))),
+            (
+                "supremum key",
+                framed(&[ROOT, 0, 0], &cats(vec![10, i64::SUPREMUM])),
+            ),
+            ("two roots", framed(&[ROOT, ROOT, 0], &cats(vec![10, 20]))),
+            ("no root", framed(&[0, 0, 0], &cats(vec![10, 20]))),
+            (
+                "parent after its child",
+                framed(&[ROOT, 2, 0], &cats(vec![10, 20])),
+            ),
+            (
+                "third child",
+                framed(&[ROOT, 0, 0, 0], &[vec![10], vec![20], vec![30], vec![40]]),
+            ),
+        ];
+        for (what, bytes) in &cases {
+            let err = decode_snapshot::<i64>(path, bytes).unwrap_err();
+            assert!(
+                matches!(err, StoreError::SnapshotInvalid { .. }),
+                "{what}: {err}"
+            );
+        }
+        // Recovery refuses the same bytes with the same typed error.
+        let dir = tmp("structural");
+        fs::write(dir.join(snap_file_name(1)), &cases[0].1).unwrap();
+        let err = crate::recover::<i64>(&dir).unwrap_err();
+        assert!(
+            matches!(&err, StoreError::SnapshotInvalid { reason, .. }
+                if reason.contains("strictly increasing")),
+            "{err}"
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 

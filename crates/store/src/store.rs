@@ -15,8 +15,7 @@ use crate::codec::KeyCodec;
 use crate::error::StoreError;
 use crate::snapshot;
 use crate::wal::{self, WalWriter};
-use fc_catalog::{CatalogKey, CatalogTree};
-use fc_coop::dynamic::UpdateOp;
+use fc_catalog::{CatalogKey, CatalogTree, UpdateOp};
 use std::fs;
 use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
@@ -125,15 +124,6 @@ impl<K: CatalogKey + KeyCodec> Store<K> {
     pub fn append_batch(&self, ops: &[UpdateOp<K>]) -> Result<u64, StoreError> {
         // fc-lint: allow(lock-discipline) -- intentional: the WAL mutex must cover the fsynced append so records hit the log in sequence order
         self.lock().wal.append(ops)
-    }
-
-    /// Append a durable rebuild-marker record: the caller cut a
-    /// clone-and-rebuild epoch (compaction) whose logical generation is
-    /// `generation`. Persist the matching snapshot *after* this returns so
-    /// the snapshot watermark covers the marker.
-    pub fn append_rebuild_marker(&self, generation: u64) -> Result<u64, StoreError> {
-        // fc-lint: allow(lock-discipline) -- intentional: same ordering contract as append_batch
-        self.lock().wal.append_marker(generation)
     }
 
     /// Atomically persist `tree` as the next snapshot, watermarked at the

@@ -3,8 +3,7 @@
 //!
 //! Every durable update batch becomes one record with a monotone sequence
 //! number; the record is written and fsynced *before* the in-memory
-//! [`DynamicCoop`](fc_coop::dynamic::DynamicCoop) buffers see the ops, so
-//! an acknowledged batch survives any crash. Segments rotate once the
+//! catalogs see the ops, so an acknowledged batch survives any crash. Segments rotate once the
 //! active one exceeds the configured byte budget; a snapshot's
 //! `wal_watermark` lets [`crate::Store::prune`] delete fully-covered
 //! segments.
@@ -29,10 +28,11 @@
 //! A **rebuild marker** record reuses the frame but sets `op_count` to the
 //! reserved sentinel `u32::MAX` followed by `tag:u8 = 2 · generation:u64`:
 //! it records that the producer cut a clone-and-rebuild epoch (compaction)
-//! at this point in the log. Markers carry no catalog mutations — replay
-//! surfaces them as [`WalEntry::RebuildMarker`] so recovery can count and
-//! align epoch cuts, and they advance the sequence like any record (so a
-//! snapshot persisted right after one covers it with its watermark).
+//! at this point in the log. Nothing writes markers any more, but logs
+//! written before checkpoints stopped logging them may hold some. They
+//! carry no catalog mutations — replay surfaces them as
+//! [`WalEntry::RebuildMarker`] so recovery can count them, and they
+//! advance the sequence like any record.
 //!
 //! ## Replay semantics
 //!
@@ -54,8 +54,7 @@
 use crate::codec::{crc32, KeyCodec};
 use crate::error::StoreError;
 use crate::frame::{sync_dir, Reader};
-use fc_catalog::{CatalogKey, NodeId};
-use fc_coop::dynamic::UpdateOp;
+use fc_catalog::{CatalogKey, NodeId, UpdateOp};
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -160,7 +159,8 @@ pub(crate) fn encode_record<K: CatalogKey + KeyCodec>(seq: u64, ops: &[UpdateOp<
     frame_of(&payload)
 }
 
-/// Encode one rebuild-marker frame for `generation` at `seq`.
+/// Encode one legacy rebuild-marker frame for `generation` at `seq`
+/// (for tests that plant one; nothing else writes markers).
 pub(crate) fn encode_marker(seq: u64, generation: u64) -> Vec<u8> {
     let mut payload = Vec::with_capacity(21);
     payload.extend_from_slice(&seq.to_le_bytes());
@@ -486,13 +486,6 @@ impl WalWriter {
         self.append_frame(frame)
     }
 
-    /// Append one rebuild-marker record for `generation`; returns its
-    /// sequence number with the same durability contract as `append`.
-    pub(crate) fn append_marker(&mut self, generation: u64) -> Result<u64, StoreError> {
-        let frame = encode_marker(self.next_seq, generation);
-        self.append_frame(frame)
-    }
-
     fn append_frame(&mut self, frame: Vec<u8>) -> Result<u64, StoreError> {
         let seq = self.next_seq;
         let fsync = self.fsync;
@@ -749,10 +742,15 @@ mod tests {
     fn rebuild_markers_round_trip_interleaved_with_ops() {
         let dir = tmp("markers");
         let mut w = WalWriter::new(&dir, 8, false, 1 << 20, 1);
+        // Legacy markers are planted through the raw frame path.
+        let marker = |w: &mut WalWriter, generation| {
+            let frame = encode_marker(w.next_seq(), generation);
+            w.append_frame(frame).unwrap()
+        };
         assert_eq!(w.append(&ops(0)).unwrap(), 1);
-        assert_eq!(w.append_marker(7).unwrap(), 2);
+        assert_eq!(marker(&mut w, 7), 2);
         assert_eq!(w.append(&ops(10)).unwrap(), 3);
-        assert_eq!(w.append_marker(8).unwrap(), 4);
+        assert_eq!(marker(&mut w, 8), 4);
         let mut entries = Vec::new();
         let stats = replay::<i64, _>(&dir, 0, |seq, entry| {
             entries.push((seq, entry.clone()));

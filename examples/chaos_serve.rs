@@ -13,8 +13,7 @@
 //! Run with: `cargo run --release --example chaos_serve`
 
 use fc_catalog::gen::{self, SizeDist};
-use fc_catalog::NodeId;
-use fc_coop::dynamic::UpdateOp;
+use fc_catalog::{NodeId, UpdateOp};
 use fc_coop::{CoopStructure, ParamMode};
 use fc_resilience::FaultSpec;
 use fc_serve::{QueryResult, ServeConfig, Service};

@@ -12,13 +12,13 @@
 //! the child creates the cluster, splits a shard (routing-table version
 //! 2), prints one `ACKED node key` line per durably acknowledged insert,
 //! and aborts partway. The parent then recovers: manifest → routing
-//! table at its persisted version, per-shard snapshot + WAL replay +
-//! blame audit, and checks sample queries against an oracle built from
-//! the original tree plus exactly the acknowledged inserts.
+//! table at its persisted version, per-shard snapshot + WAL replay
+//! through one `apply_batch`, and checks sample queries against an
+//! oracle built from the original tree plus exactly the acknowledged
+//! inserts.
 
 use fc_catalog::gen::{self, SizeDist};
-use fc_catalog::{CatalogTree, NodeId};
-use fc_coop::dynamic::UpdateOp;
+use fc_catalog::{CatalogTree, NodeId, UpdateOp};
 use fc_coop::ParamMode;
 use fc_serve::ServeConfig;
 use fc_shard::{DurableCluster, ShardConfig, StoreConfig};

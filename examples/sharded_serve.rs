@@ -8,8 +8,7 @@
 //! ```
 
 use fc_catalog::gen::{self, SizeDist};
-use fc_catalog::NodeId;
-use fc_coop::dynamic::UpdateOp;
+use fc_catalog::{NodeId, UpdateOp};
 use fc_coop::ParamMode;
 use fc_resilience::FaultSpec;
 use fc_serve::ServeConfig;

@@ -24,8 +24,7 @@
 //!   visible to the next read.
 
 use fc_catalog::gen::{self, SizeDist};
-use fc_catalog::{CatalogKey, CatalogTree, NodeId};
-use fc_coop::dynamic::UpdateOp;
+use fc_catalog::{CatalogKey, CatalogTree, NodeId, UpdateOp};
 use fc_coop::{CoopStructure, ParamMode};
 use fc_resilience::FaultSpec;
 use fc_serve::ServeConfig;

@@ -18,8 +18,7 @@
 //!   the storm finds nothing to repair.
 
 use fc_catalog::gen::{self, SizeDist};
-use fc_catalog::NodeId;
-use fc_coop::dynamic::UpdateOp;
+use fc_catalog::{NodeId, UpdateOp};
 use fc_coop::{CoopStructure, ParamMode};
 use fc_serve::{ServeConfig, Service};
 use rand::rngs::SmallRng;

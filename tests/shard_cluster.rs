@@ -15,8 +15,7 @@
 //! structure (at start, after a split, after a cold start),
 //! and a fault injected into one replica never reaches its peer.
 
-use fc_catalog::{CatalogKey, NodeId};
-use fc_coop::dynamic::UpdateOp;
+use fc_catalog::{CatalogKey, NodeId, UpdateOp};
 use fc_coop::{CoopStructure, ParamMode};
 use fc_resilience::{audit, FaultSpec};
 use fc_serve::ServeConfig;

@@ -11,8 +11,7 @@
 //!   reporting the truncation; no offset may panic or mis-apply.
 
 use fc_catalog::gen::{self, SizeDist};
-use fc_catalog::{CatalogTree, NodeId};
-use fc_coop::dynamic::UpdateOp;
+use fc_catalog::{CatalogTree, NodeId, UpdateOp};
 use fc_coop::{CoopStructure, ParamMode};
 use fc_store::{fault, snapshot, wal};
 use rand::rngs::SmallRng;

@@ -30,13 +30,12 @@
 //! silently smaller cluster.
 
 use fc_catalog::gen::{self, SizeDist};
-use fc_catalog::{CatalogTree, NodeId};
-use fc_coop::dynamic::UpdateOp;
+use fc_catalog::{CatalogTree, NodeId, UpdateOp};
 use fc_coop::ParamMode;
 use fc_serve::ServeConfig;
 use fc_shard::{DurableCluster, ShardConfig};
 use fc_store::manifest::{epoch_dir, shard_dir};
-use fc_store::{fault, load_newest_valid, Store, StoreConfig, StoreError};
+use fc_store::{fault, load_newest_valid, StoreConfig, StoreError};
 use std::collections::HashMap;
 use std::fs;
 use std::path::PathBuf;
@@ -684,9 +683,9 @@ fn cold_start_after_checkpoint_replays_nothing() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// A rebuild marker logged after the newest snapshot (a crash between
-/// cutting an epoch and persisting its snapshot) replays as provenance,
-/// not as an error.
+/// A rebuild marker logged after the newest snapshot, as logs written
+/// before checkpoints stopped logging markers may hold, replays as
+/// provenance, not as an error.
 #[test]
 fn uncovered_rebuild_marker_replays_as_provenance() {
     let dir = tmp("marker");
@@ -694,9 +693,7 @@ fn uncovered_rebuild_marker_replays_as_provenance() {
     let dc = DurableCluster::create(&dir, &tree, ParamMode::Auto, cfg(2, 1), no_fsync()).unwrap();
     dc.checkpoint().unwrap();
     dc.shutdown();
-    let store = Store::<i64>::open(&shard_dir(&epoch_dir(&dir, 1), 0), no_fsync()).unwrap();
-    store.append_rebuild_marker(99).unwrap();
-    drop(store);
+    fault::append_legacy_marker::<i64>(&shard_dir(&epoch_dir(&dir, 1), 0), 99).unwrap();
     let (dc, rep) = DurableCluster::<i64>::cold_start(&dir, ParamMode::Auto, cfg(2, 1), no_fsync())
         .unwrap_or_else(|e| panic!("an uncovered marker must not refuse the cold start: {e}"));
     assert_eq!(rep.rebuild_markers, 1);

@@ -2,8 +2,7 @@
 // first record of the new segment was torn). On reopen, the writer's
 // next_seq equals the header-only segment's start_seq; first append tries
 // create_new on the same file name.
-use fc_catalog::NodeId;
-use fc_coop::dynamic::UpdateOp;
+use fc_catalog::{NodeId, UpdateOp};
 use fc_store::{Store, StoreConfig};
 use std::fs;
 
