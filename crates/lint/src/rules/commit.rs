@@ -22,8 +22,10 @@
 //!    split.
 //!
 //! Scope: `crates/store/src/{snapshot,wal,manifest,frame,store}.rs` and
-//! the two `durable.rs` files (serve, shard).
+//! `crates/shard/src/durable.rs`. A scoped file missing from the
+//! workspace is a finding (scope rot), not a silent un-lint.
 
+use super::simple::scope_rot;
 use super::Rule;
 use crate::lexer::SpannedTok;
 use crate::{call_at, Finding, Workspace};
@@ -36,7 +38,6 @@ const SCOPE: &[&str] = &[
     "crates/store/src/manifest.rs",
     "crates/store/src/frame.rs",
     "crates/store/src/store.rs",
-    "crates/serve/src/durable.rs",
     "crates/shard/src/durable.rs",
 ];
 
@@ -50,18 +51,32 @@ impl Rule for CommitOrder {
     }
 
     fn check(&self, ws: &Workspace, out: &mut Vec<Finding>) {
-        for file in &ws.files {
-            if !ws.force_apply && !SCOPE.contains(&file.src.rel.as_str()) {
-                continue;
-            }
-            for f in &file.fns {
-                if f.body_start >= file.toks.len() || f.body_end >= file.toks.len() {
-                    continue;
-                }
-                let body = &file.toks[f.body_start..=f.body_end];
-                check_body(&file.src.rel, &f.name, body, file, out);
-            }
+        if !ws.force_apply {
+            return check_scope(ws, SCOPE, out);
         }
+        for file in &ws.files {
+            check_file(file, out);
+        }
+    }
+}
+
+/// Check every file of `scope`, reporting each one the workspace lacks.
+fn check_scope(ws: &Workspace, scope: &[&str], out: &mut Vec<Finding>) {
+    for &rel in scope {
+        match ws.file(rel) {
+            Some(file) => check_file(file, out),
+            None => out.push(scope_rot("commit-order", rel, "file")),
+        }
+    }
+}
+
+fn check_file(file: &crate::Analyzed, out: &mut Vec<Finding>) {
+    for f in &file.fns {
+        if f.body_start >= file.toks.len() || f.body_end >= file.toks.len() {
+            continue;
+        }
+        let body = &file.toks[f.body_start..=f.body_end];
+        check_body(&file.src.rel, &f.name, body, file, out);
     }
 }
 
@@ -183,6 +198,21 @@ mod tests {
         let mut out = Vec::new();
         CommitOrder.check(&ws, &mut out);
         out
+    }
+
+    #[test]
+    fn missing_scoped_file_is_scope_rot() {
+        let ws = Workspace::single_text("crates/store/src/wal.rs", "fn f() {}\n");
+        let mut out = Vec::new();
+        check_scope(
+            &ws,
+            &["crates/store/src/wal.rs", "crates/store/src/gone.rs"],
+            &mut out,
+        );
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert_eq!(out[0].rule, "commit-order");
+        assert_eq!(out[0].file, "crates/store/src/gone.rs");
+        assert!(out[0].message.contains("scope rot"), "{out:?}");
     }
 
     #[test]

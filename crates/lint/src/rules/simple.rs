@@ -282,13 +282,13 @@ fn body_end_line(file: &Analyzed, f: &crate::scope::FnItem) -> usize {
         .map_or(file.src.code_end, |t| t.line)
 }
 
-fn scope_rot(rule: &'static str, rel: &str, what: &str) -> Finding {
+pub(super) fn scope_rot(rule: &'static str, rel: &str, what: &str) -> Finding {
     Finding {
         rule,
         file: rel.to_owned(),
         line: 1,
         message: format!(
-            "scope rot: configured hot-path entry `{what}` missing from `{rel}` — \
+            "scope rot: configured scope entry `{what}` missing from `{rel}` — \
              update the scope list to follow the rename"
         ),
         content: String::new(),

@@ -26,12 +26,14 @@
 //!
 //! Cold start ([`DurableCluster::cold_start`]) reads the manifest,
 //! restores the [`RoutingTable`] at its persisted version (staleness
-//! detection survives restarts), runs `fc_store::recover` per shard —
+//! detection survives restarts), runs [`Store::recover`] per shard —
 //! newest valid snapshot + WAL replay through one `apply_batch`, refusing
 //! with a typed [`StoreError`] if any shard's files do not validate — and
 //! starts every shard's replicas on one deferred structure of its
-//! recovered tree, counting generations on from the recovered one. No
-//! cold start preprocesses T′.
+//! recovered tree, counting generations on from the recovered one. Each
+//! shard's files are read once: the writer resumes at the positions
+//! recovery returns instead of rescanning the directory. No cold start
+//! preprocesses T′.
 //!
 //! Durability covers updates and splits routed through this wrapper;
 //! calling [`ShardCluster::update_batch`] or
@@ -157,12 +159,12 @@ impl<K: CatalogKey + KeyCodec> DurableCluster<K> {
     }
 
     /// Cold-start from `dir`: read the manifest, restore the routing
-    /// table at its persisted version, recover every shard store
-    /// (snapshot + WAL replay through one `apply_batch` — any shard whose
-    /// files do not validate refuses the whole cold start with a typed
-    /// error), and start each shard's replicas on one deferred structure
-    /// of its recovered tree. `mode` governs those structures and every
-    /// later publish.
+    /// table at its persisted version, recover every shard store and
+    /// resume its writer ([`Store::recover`]: snapshot + WAL replay
+    /// through one `apply_batch` — any shard whose files do not validate
+    /// refuses the whole cold start with a typed error), and start each
+    /// shard's replicas on one deferred structure of its recovered tree.
+    /// `mode` governs those structures and every later publish.
     pub fn cold_start(
         dir: &Path,
         mode: ParamMode,
@@ -180,8 +182,9 @@ impl<K: CatalogKey + KeyCodec> DurableCluster<K> {
             ..ColdStartReport::default()
         };
         let mut shards: Vec<(Arc<CoopStructure<K>>, u64)> = Vec::with_capacity(m.shards());
+        let mut stores = Vec::with_capacity(m.shards());
         for shard in 0..m.shards() {
-            let rec = fc_store::recover::<K>(&shard_dir(&edir, shard))?;
+            let (store, rec) = Store::<K>::recover(&shard_dir(&edir, shard), store_cfg)?;
             report.replayed_records += rec.replayed_records;
             report.replayed_ops += rec.replayed_ops;
             report.skipped_records += rec.skipped_records;
@@ -192,18 +195,16 @@ impl<K: CatalogKey + KeyCodec> DurableCluster<K> {
                 Arc::new(CoopStructure::deferred(rec.tree, mode)),
                 rec.generation,
             ));
+            stores.push(store);
         }
         let cluster = ShardCluster::start_with_table(table, &shards, mode, cfg)
             .ok_or_else(|| invalid("recovered shard count does not match the routing table"))?;
         // Re-persist each recovered shard so the next recovery starts
         // from one snapshot instead of snapshot + long log, then drop
         // what those snapshots cover.
-        let mut stores = Vec::with_capacity(shards.len());
-        for (shard, (st, generation)) in shards.iter().enumerate() {
-            let store = Store::open(&shard_dir(&edir, shard), store_cfg)?;
+        for ((st, generation), store) in shards.iter().zip(&stores) {
             store.persist_snapshot(st.tree(), *generation)?;
             store.prune()?;
-            stores.push(store);
         }
         Ok((
             DurableCluster {

@@ -294,7 +294,7 @@ impl<K: CatalogKey> ShardCluster<K> {
     /// Start a cluster from a *restored* routing table and, per shard, one
     /// structure of its filtered tree with that structure's logical
     /// generation — the cold-start path, which wraps each tree
-    /// `fc_store::recover` hands back as a deferred structure. Each
+    /// a shard's `Store::recover` hands back as a deferred structure. Each
     /// shard's replicas serve the given structure itself and count
     /// generations on from the given one. Returns `None` when the shard count does not match the
     /// table's, which a caller must treat as a corrupt manifest, not a

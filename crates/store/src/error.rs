@@ -95,6 +95,13 @@ pub enum StoreError {
         /// What was wrong with the op.
         reason: &'static str,
     },
+    /// A WAL append failed and its segment could not be cut back to the
+    /// last acknowledged record, so the writer refuses every later append
+    /// rather than write after a possibly damaged frame.
+    WalWedged {
+        /// The segment that could not be cut back.
+        path: PathBuf,
+    },
     /// No snapshot file in the store directory parsed as valid.
     NoSnapshot {
         /// Snapshot files that were found but rejected as corrupt.
@@ -157,6 +164,11 @@ impl std::fmt::Display for StoreError {
             StoreError::InvalidOp { seq, reason } => {
                 write!(f, "WAL record {seq} holds an inapplicable op: {reason}")
             }
+            StoreError::WalWedged { path } => write!(
+                f,
+                "WAL writer refuses appends: {} could not be cut back after a failed append",
+                path.display()
+            ),
             StoreError::NoSnapshot { corrupt } => {
                 write!(
                     f,

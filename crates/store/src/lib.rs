@@ -16,7 +16,8 @@
 //!
 //! * [`Store`] — one directory of `snap-*.fcs` + `wal-*.fcw` files with an
 //!   append/persist/prune API (`fc-shard`'s `DurableCluster` keeps one
-//!   per shard).
+//!   per shard). [`Store::recover`] recovers a directory and resumes its
+//!   writer in one read.
 //! * [`recover()`] — the crash-recovery state machine: newest valid
 //!   snapshot → ordered idempotent replay → one `apply_batch`.
 //! * [`manifest`] — the cluster commit point: routing-table version and
@@ -27,10 +28,11 @@
 //!   suites.
 //!
 //! Everything is `std`-only: keys serialize through [`KeyCodec`], the
-//! CRC-32 is built in, and the recovery paths (`snapshot.rs`, `wal.rs`,
-//! `recover.rs`, `manifest.rs`) are in the `cargo xtask lint` scope —
-//! lexically panic-free and index-free, because a recovery that panics on
-//! corrupt bytes is just a slower way to serve a wrong answer.
+//! CRC-32 is built in (slicing-by-16), and the recovery paths
+//! (`snapshot.rs`, `wal.rs`, `recover.rs`, `manifest.rs`) are in the
+//! `cargo xtask lint` scope — lexically panic-free and index-free,
+//! because a recovery that panics on corrupt bytes is just a slower way
+//! to serve a wrong answer.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

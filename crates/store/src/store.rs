@@ -2,17 +2,18 @@
 //! tree, with an append/persist/prune API the serving layers wrap.
 //!
 //! A store directory contains `snap-<id>.fcs` files (newest-id wins) and
-//! `wal-<start_seq>.fcw` segments. Opening a store scans both: it learns
-//! the next snapshot id and — by replaying the log headers/frames without
-//! applying anything — the next WAL sequence number, truncating any torn
-//! tail it finds so the writer never appends onto a damaged segment.
-//!
-//! The full load-snapshot-then-replay recovery lives in
-//! [`crate::recover`]; this type only manages the files and the write
-//! path.
+//! `wal-<start_seq>.fcw` segments. The writer needs three positions: the
+//! next snapshot id, the next WAL sequence number and the newest
+//! snapshot's watermark. [`Store::open`] learns them by scanning both
+//! file kinds — replaying the log headers/frames without applying
+//! anything, truncating any torn tail it finds so the writer never
+//! appends onto a damaged segment. [`Store::recover`] takes them from
+//! [`crate::recover()`] instead, which reads and truncates the same files
+//! while it rebuilds the catalogs, so a cold start reads each store once.
 
 use crate::codec::KeyCodec;
 use crate::error::StoreError;
+use crate::recover::Recovered;
 use crate::snapshot;
 use crate::wal::{self, WalWriter};
 use fc_catalog::{CatalogKey, CatalogTree, UpdateOp};
@@ -87,16 +88,50 @@ impl<K: CatalogKey + KeyCodec> Store<K> {
             .map_or(watermark, |s| watermark.max(s.start_seq.saturating_sub(1)));
         let scan = wal::replay::<K, _>(dir, baseline, |_, _| Ok(()))?;
         let next_seq = scan.last_seq.max(watermark) + 1;
-        Ok(Store {
+        Ok(Store::positioned(
+            dir,
+            cfg,
+            next_seq,
+            next_snap_id,
+            watermark,
+        ))
+    }
+
+    /// Recover the store in `dir` ([`crate::recover()`]) and open its
+    /// writer where recovery left the files: the next append follows the
+    /// last replayed record, the next snapshot id follows the one
+    /// recovery started from, and prune's watermark is that snapshot's.
+    /// These are the positions [`Store::open`]'s scan derives after a
+    /// successful recovery, without reading the directory a second time.
+    pub fn recover(dir: &Path, cfg: StoreConfig) -> Result<(Self, Recovered<K>), StoreError> {
+        let rec = crate::recover::<K>(dir)?;
+        let store = Store::positioned(
+            dir,
+            cfg,
+            rec.last_seq + 1,
+            rec.snapshot_id + 1,
+            rec.wal_watermark,
+        );
+        Ok((store, rec))
+    }
+
+    fn positioned(
+        dir: &Path,
+        cfg: StoreConfig,
+        next_seq: u64,
+        next_snap_id: u64,
+        last_watermark: u64,
+    ) -> Self {
+        Store {
             dir: dir.to_path_buf(),
             cfg,
             inner: Mutex::new(Inner {
                 wal: WalWriter::new(dir, K::WIDTH, cfg.fsync, cfg.segment_bytes, next_seq),
                 next_snap_id,
-                last_watermark: watermark,
+                last_watermark,
             }),
             _key: PhantomData,
-        })
+        }
     }
 
     /// The store directory.

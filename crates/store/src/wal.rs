@@ -442,6 +442,9 @@ pub(crate) struct WalWriter {
     active: Option<ActiveSegment>,
     next_seq: u64,
     key_width: u32,
+    /// The segment a failed append left damaged and could not be cut
+    /// back: every later append is refused instead of written after it.
+    wedged: Option<PathBuf>,
 }
 
 struct ActiveSegment {
@@ -468,6 +471,7 @@ impl WalWriter {
             active: None,
             next_seq,
             key_width,
+            wedged: None,
         }
     }
 
@@ -487,22 +491,59 @@ impl WalWriter {
     }
 
     fn append_frame(&mut self, frame: Vec<u8>) -> Result<u64, StoreError> {
+        if let Some(path) = &self.wedged {
+            return Err(StoreError::WalWedged { path: path.clone() });
+        }
         let seq = self.next_seq;
         let fsync = self.fsync;
         let active = self.active_segment(seq)?;
-        active
+        let written = active
             .file
             .write_all(&frame)
-            .map_err(|e| StoreError::io("append", &active.path, e))?;
-        if fsync {
-            active
-                .file
-                .sync_data()
-                .map_err(|e| StoreError::io("fsync", &active.path, e))?;
+            .map_err(|e| StoreError::io("append", &active.path, e))
+            .and_then(|()| {
+                if fsync {
+                    active
+                        .file
+                        .sync_data()
+                        .map_err(|e| StoreError::io("fsync", &active.path, e))
+                } else {
+                    Ok(())
+                }
+            });
+        if let Err(e) = written {
+            self.cut_back_active();
+            return Err(e);
         }
         active.bytes += frame.len() as u64;
         self.next_seq += 1;
         Ok(seq)
+    }
+
+    /// After a failed append, cut the active segment back to its last
+    /// acked frame and drop it, so the next append opens a fresh
+    /// `wal-<seq>.fcw`. The failed write may have left part of its frame
+    /// in the file, or all of it with the fsync failing after; a record
+    /// appended after those bytes would make replay refuse the whole
+    /// shard. If the cut fails, the writer wedges instead.
+    fn cut_back_active(&mut self) {
+        let Some(active) = self.active.take() else {
+            return;
+        };
+        let cut = fs::OpenOptions::new()
+            .write(true)
+            .open(&active.path)
+            .and_then(|f| {
+                f.set_len(active.bytes)?;
+                if self.fsync {
+                    f.sync_all()
+                } else {
+                    Ok(())
+                }
+            });
+        if cut.is_err() {
+            self.wedged = Some(active.path);
+        }
     }
 
     /// The active segment, rotating to a fresh `wal-<seq>.fcw` when there
@@ -642,6 +683,61 @@ mod tests {
         let (stats, seen) = collect(&dir, 0);
         assert_eq!(stats.records_applied, 1);
         assert_eq!(seen.first().map(|(s, _)| *s), Some(1));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A failed append is cut back off its segment, so the next append,
+    /// which takes the same sequence number, never lands after what the
+    /// failed one left: a whole frame whose fsync failed, or half of one.
+    #[test]
+    fn failed_append_is_cut_back_before_the_next_append() {
+        for (case, half) in [("fsync failed", false), ("half written", true)] {
+            let dir = tmp("failed-append");
+            let mut w = WalWriter::new(&dir, 8, true, 1 << 20, 1);
+            assert_eq!(w.append(&ops(0)).unwrap(), 1, "{case}");
+            let active = w.active.as_mut().unwrap();
+            let frame = encode_record(2, &ops(10));
+            let landed = if half { frame.len() / 2 } else { frame.len() };
+            let mut raw = fs::OpenOptions::new()
+                .append(true)
+                .open(&active.path)
+                .unwrap();
+            raw.write_all(&frame[..landed]).unwrap();
+            // The bytes above are what the failing append left behind; a
+            // read-only handle makes the append itself fail.
+            active.file = fs::File::open(&active.path).unwrap();
+            assert!(w.append(&ops(10)).is_err(), "{case}");
+            // The fault was transient: a segment the writer kept would
+            // take writes again.
+            if let Some(a) = w.active.as_mut() {
+                a.file = raw;
+            }
+            assert_eq!(w.append(&ops(20)).unwrap(), 2, "{case}");
+            let (stats, seen) = collect(&dir, 0);
+            assert_eq!(seen, vec![(1, ops(0)), (2, ops(20))], "{case}");
+            assert_eq!(stats.truncated_bytes, 0, "{case}: nothing left to cut");
+            let _ = fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// When the cut itself fails, the writer refuses every later append
+    /// with a typed error instead of writing after a damaged frame.
+    #[test]
+    fn failed_cut_refuses_every_later_append() {
+        let dir = tmp("wedged");
+        let mut w = WalWriter::new(&dir, 8, false, 1 << 20, 1);
+        w.append(&ops(0)).unwrap();
+        let active = w.active.as_mut().unwrap();
+        active.file = fs::File::open(&active.path).unwrap();
+        // The segment vanishes, so the cut cannot reopen it.
+        fs::remove_file(&active.path).unwrap();
+        let err = w.append(&ops(10)).unwrap_err();
+        assert!(matches!(err, StoreError::Io { op: "append", .. }), "{err}");
+        for _ in 0..2 {
+            let err = w.append(&ops(20)).unwrap_err();
+            assert!(matches!(err, StoreError::WalWedged { .. }), "{err}");
+        }
+        assert!(list_segments(&dir).unwrap().is_empty(), "nothing written");
         let _ = fs::remove_dir_all(&dir);
     }
 

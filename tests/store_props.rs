@@ -9,15 +9,19 @@
 //! * **WAL torn tail** — truncating the log at *every byte offset* of the
 //!   final record must recover exactly the previous records, typed stats
 //!   reporting the truncation; no offset may panic or mis-apply.
+//!
+//! A third property pins the writer a cold start resumes:
+//! `Store::recover` must position it exactly as `Store::open`'s rescan
+//! does, across every store shape recovery accepts.
 
 use fc_catalog::gen::{self, SizeDist};
 use fc_catalog::{CatalogTree, NodeId, UpdateOp};
 use fc_coop::{CoopStructure, ParamMode};
-use fc_store::{fault, snapshot, wal};
+use fc_store::{fault, snapshot, wal, Recovered, Store, StoreConfig};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn tmp(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("fc-store-props-{}-{name}", std::process::id()));
@@ -195,5 +199,148 @@ fn wal_replay_matches_direct_application() {
         assert_eq!(replayed, direct, "seed {seed}");
         assert!(stats.segments > 1, "seed {seed}: rotation exercised");
         let _ = fs::remove_dir_all(&dir);
+    }
+}
+
+/// Copy every file of `from` into a fresh directory `to`.
+fn copy_store(from: &Path, to: &Path) {
+    let _ = fs::remove_dir_all(to);
+    fs::create_dir_all(to).unwrap();
+    for entry in fs::read_dir(from).unwrap() {
+        let entry = entry.unwrap();
+        fs::copy(entry.path(), to.join(entry.file_name())).unwrap();
+    }
+}
+
+/// `Store::recover` positions the writer exactly as `Store::open` does:
+/// for each store shape recovery accepts, two copies of one directory,
+/// one opened each way, agree on the last sequence number, on what
+/// `prune` deletes (the snapshot watermark), on the next append's
+/// sequence number and on the next snapshot's id.
+#[test]
+fn store_recover_positions_the_writer_like_open() {
+    let cfg = StoreConfig {
+        segment_bytes: 96, // rotate every record or two
+        fsync: false,
+        keep_snapshots: 2,
+    };
+    let mut rng = SmallRng::seed_from_u64(0x0C01D);
+    let tree = gen::balanced_binary(4, 300, SizeDist::Uniform, &mut rng);
+    let op = |i: i64| [UpdateOp::Insert(NodeId((i % 15) as u32), 1_000_000 + i)];
+    let write = |dir: &Path, n: i64, snapshot_at: Option<i64>| {
+        let store = Store::<i64>::open(dir, cfg).unwrap();
+        store.persist_snapshot(&tree, 0).unwrap();
+        for i in 0..n {
+            if snapshot_at == Some(i) {
+                store.persist_snapshot(&tree, 1).unwrap();
+            }
+            store.append_batch(&op(i)).unwrap();
+        }
+        store
+    };
+    // (name, build the directory, what recovery must report for it)
+    type Shape<'a> = (
+        &'static str,
+        Box<dyn Fn(&Path) + 'a>,
+        fn(&Recovered<i64>) -> bool,
+    );
+    let shapes: Vec<Shape<'_>> = vec![
+        (
+            "clean stop",
+            Box::new(|dir| {
+                write(dir, 6, None);
+            }),
+            |r| r.last_seq == 6 && r.truncated_bytes == 0,
+        ),
+        (
+            "torn tail",
+            Box::new(|dir| {
+                write(dir, 5, None);
+                let last = fault::wal_segments(dir).unwrap().pop().unwrap();
+                fault::truncate_tail(&last, 3).unwrap();
+            }),
+            |r| r.last_seq == 4 && r.truncated_bytes > 0,
+        ),
+        (
+            "header-only last segment",
+            Box::new(|dir| {
+                write(dir, 5, None);
+                let last = fault::wal_segments(dir).unwrap().pop().unwrap();
+                let len = fs::metadata(&last).unwrap().len();
+                fault::truncate_tail(&last, len - 28).unwrap();
+            }),
+            |r| r.last_seq == 3 && r.truncated_bytes == 0,
+        ),
+        (
+            "corrupt newest snapshot",
+            Box::new(|dir| {
+                write(dir, 6, Some(3));
+                let newest = fault::snapshot_files(dir).unwrap().remove(0);
+                fault::flip_byte(&newest, 60, 0x40).unwrap();
+            }),
+            |r| r.snapshots_skipped == 1 && r.snapshot_id == 1 && r.last_seq == 6,
+        ),
+        (
+            "rotated and pruned segments",
+            Box::new(|dir| {
+                let store = write(dir, 8, Some(5));
+                let (_, segments) = store.prune().unwrap();
+                assert!(segments > 0, "the shape prunes a segment");
+                // Segments the newest snapshot covers, left for the
+                // reopened store's prune.
+                for i in 8..13 {
+                    if i == 11 {
+                        store.persist_snapshot(&tree, 2).unwrap();
+                    }
+                    store.append_batch(&op(i)).unwrap();
+                }
+            }),
+            |r| r.wal_watermark == 11 && r.last_seq == 13,
+        ),
+        (
+            "legacy marker above the watermark",
+            Box::new(|dir| {
+                write(dir, 4, None);
+                assert_eq!(fault::append_legacy_marker::<i64>(dir, 7).unwrap(), 5);
+            }),
+            |r| r.rebuild_markers == 1 && r.last_seq == 5,
+        ),
+    ];
+    for (shape, build, signature) in &shapes {
+        let master = tmp("positions-master");
+        build(&master);
+        let (opened_dir, recovered_dir) = (tmp("positions-open"), tmp("positions-recover"));
+        copy_store(&master, &opened_dir);
+        copy_store(&master, &recovered_dir);
+        let opened = Store::<i64>::open(&opened_dir, cfg).unwrap();
+        let (recovered, rec) = Store::<i64>::recover(&recovered_dir, cfg)
+            .unwrap_or_else(|e| panic!("{shape}: recovery refused: {e}"));
+        assert!(signature(&rec), "{shape}: not the intended shape: {rec:?}");
+        assert_eq!(recovered.last_seq(), rec.last_seq, "{shape}");
+        assert_eq!(opened.last_seq(), recovered.last_seq(), "{shape}: last_seq");
+        assert_eq!(
+            opened.prune().unwrap(),
+            recovered.prune().unwrap(),
+            "{shape}: prune watermark"
+        );
+        assert_eq!(
+            fault::wal_segments(&opened_dir).unwrap().len(),
+            fault::wal_segments(&recovered_dir).unwrap().len(),
+            "{shape}: segments kept"
+        );
+        let next = op(100);
+        assert_eq!(
+            opened.append_batch(&next).unwrap(),
+            recovered.append_batch(&next).unwrap(),
+            "{shape}: next append"
+        );
+        assert_eq!(
+            opened.persist_snapshot(&rec.tree, 9).unwrap(),
+            recovered.persist_snapshot(&rec.tree, 9).unwrap(),
+            "{shape}: next snapshot id"
+        );
+        for dir in [&master, &opened_dir, &recovered_dir] {
+            let _ = fs::remove_dir_all(dir);
+        }
     }
 }
